@@ -8,6 +8,7 @@ JSON lines or CSV; everything is reproducible from the flags alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -66,6 +67,8 @@ def load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
+    if cfg.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {cfg.threads}")
     return cfg
 
 
@@ -105,11 +108,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except montecarlo.StepLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    stats = montecarlo.summarize(steps, cfg.seed)
-    _print_record(stats.to_record(), cfg.output_format)
-    if args.histogram:
-        hist = montecarlo.step_histogram(steps)
-        with open(args.histogram, "w") as handle:
+    try:
+        histogram = open(args.histogram, "w") if args.histogram else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"error: cannot write the histogram: {exc}", file=sys.stderr)
+        return 2
+    with histogram as handle:
+        _print_record(montecarlo.summarize(steps, cfg.seed).to_record(), cfg.output_format)
+        if handle is not None:
+            hist = montecarlo.step_histogram(steps)
             handle.write("\n".join(montecarlo.histogram_csv_lines(hist)) + "\n")
     return 0
 
@@ -148,7 +155,11 @@ def cmd_exact(args: argparse.Namespace) -> int:
         if not args.use_float:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        return _float_sweep(n, cfg)
+        try:
+            return _float_sweep(n, cfg)
+        except markov.CapacityError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     print(markov.SWEEP_CSV_HEADER)
     for row in rows:
         print(markov.sweep_csv_line(row))

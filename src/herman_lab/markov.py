@@ -1,12 +1,17 @@
 """Exact analysis of the gap-vector Markov chain.
 
 States are canonical (lexicographically minimal rotation) gap vectors.
-One synchronous step draws one of the 2^K move masks uniformly; the
-induced gap increments are +-1/0 per gap, a gap hitting zero removes
-the colliding token pair and merges its neighboring gaps.  Expected
-stabilization times are obtained by exact rational elimination over the
-reachable state space, ordered by token count so each linear block only
-references already-solved smaller blocks.
+One synchronous step draws one of the 2^K move masks uniformly.  The
+successors of a state come from the occupancy kernel in `ring`: all 2^K
+masks are stepped at once as N-bit occupancy words (`step_occupancy`),
+keyed by necklace (least rotation) and mapped back to canonical gaps, so
+N is limited to the 64-bit word.  The drift identities need the unmerged
+K-vectors, so they step in gap space instead: the increments are +-1/0
+per gap, and a gap hitting zero removes the colliding token pair and
+merges its neighboring gaps.  Expected stabilization times are obtained
+by exact rational elimination over the reachable state space, ordered
+by token count so each linear block only references already-solved
+smaller blocks.
 
 Large blocks are solved by modular elimination with Chinese remaindering
 and rational reconstruction; every reconstructed solution is verified
@@ -22,12 +27,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .lyapunov import ALPHA, V, V3, V5, f3_index_triples, f5_index_quintuples
-from .ring import GapVector, canonical_rotation
+from .ring import OCCUPANCY_BITS, GapVector, canonical_rotation, necklace_key, step_occupancy
 
 EXACT_RING_LIMIT = 14
 FLOAT_RING_LIMIT = 20
@@ -167,15 +173,56 @@ def step_gaps(gaps: Sequence[int], mask: int) -> tuple[int, ...]:
     return _merge_zeros(_raw_increments(gaps, mask))
 
 
+# ---------------------------------------------------------------------------
+# one-step dynamics on the occupancy mask
+
+def _check_word(n: int) -> None:
+    if n > OCCUPANCY_BITS:
+        raise CapacityError(f"ring size {n} exceeds the {OCCUPANCY_BITS}-process occupancy word")
+
+
+@lru_cache(maxsize=65536)  # one entry per successor state, as for _successor_counts
+def _necklace_gaps(n: int, key: int) -> tuple[int, ...]:
+    """Canonical gap vector of a successor key from `_successor_counts`.
+
+    Read from bit n-1 down, a key spells each gap g as one clear bit (the
+    token) and g-1 set bits, so the least rotation of the key starts at a
+    token and spells the lexicographically least rotation of the gaps.
+    """
+    tokens = [b for b in range(n - 1, -1, -1) if not key >> b & 1]
+    if not tokens:
+        return ()
+    return tuple(a - b for a, b in zip(tokens, tokens[1:])) + (tokens[-1] + n - tokens[0],)
+
+
 @lru_cache(maxsize=65536)
 def _successor_counts(n: int, gaps: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Canonical successor states with mask counts (probability = count / 2^K)."""
-    k = len(gaps)
-    counts: dict[tuple[int, ...], int] = {}
-    for mask in range(1 << k):
-        succ = _canon(step_gaps(gaps, mask))
-        counts[succ] = counts.get(succ, 0) + 1
-    return tuple(sorted(counts.items(), key=lambda item: (len(item[0]), item[0])))
+    """Canonical successor states with mask counts (probability = count / 2^K).
+
+    Bit i of a move mask moves token i.  The moving sets of all 2^K masks
+    are built at once and stepped together by `step_occupancy`.  Token i
+    sits on bit n-1-p_i, p_i being where gap i ends, so the ring is
+    mirrored and the step moves the tokens counterclockwise.  The gap law
+    does not change: moving the complementary tokens clockwise and
+    turning the ring back one process gives the same successor, and the
+    necklace key does not see the turn.  Keying the complement of each
+    successor makes the least key spell the canonical gaps (see
+    `_necklace_gaps`) and makes keys with one token count sort as their
+    gap vectors do, so the result comes out in (K, gaps) order.
+    """
+    _check_word(n)
+    occ = 0
+    moving = np.zeros(1, dtype=np.uint64)
+    end = 0
+    for gap in gaps:
+        end += gap
+        bit = n - 1 - end % n
+        occ |= 1 << bit
+        moving = np.concatenate((moving, moving | (1 << bit)))
+    empty = step_occupancy(occ, moving, n) ^ ((1 << n) - 1)
+    keys, counts = np.unique(necklace_key(empty, n), return_counts=True)
+    order = np.lexsort((keys, n - np.bitwise_count(keys)))
+    return tuple(zip(map(_necklace_gaps, repeat(n), keys[order].tolist()), counts[order].tolist()))
 
 
 def successor_distribution(g: GapVector) -> TransitionLaw:
@@ -431,6 +478,7 @@ def _check_capacity(n: int, max_ring: int | None, default: int) -> None:
             f"ring size {n} exceeds the configured capacity {limit}; "
             "raise the capacity explicitly to run larger instances"
         )
+    _check_word(n)
 
 
 def expected_time_exact(g: GapVector, *, max_ring: int | None = None) -> Fraction:

@@ -3,9 +3,11 @@
 The simulator works on the occupancy bitmask of the ring and draws one
 coin word per step: every process gets a fair coin, and a token moves
 clockwise exactly when its process coin is set, which is the original
-bit-flipping formulation of the protocol.  Token-mask and process-coin
-stepping induce the same trajectory distribution; the cross-check
-against the position pipeline lives in `coupled_equivalence`.
+bit-flipping formulation of the protocol.  The step is
+`ring.step_occupancy`, the same one the exact chain enumerates.
+Token-mask and process-coin stepping induce the same trajectory
+distribution; the cross-check against the position pipeline lives in
+`coupled_equivalence`.
 
 Run i consumes only the stream derived as stream_key(master_seed, i)
 (see `streams`), so estimates are bit-identical however runs are
@@ -22,11 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ring import (
+    OCCUPANCY_BITS,
     BitRing,
     Configuration,
     apply_step,
     bit_step,
     config_from_bits,
+    step_occupancy,
     token_positions,
 )
 from .streams import GOLDEN, MASK64, CoinStream
@@ -84,17 +88,12 @@ def simulate_once(config: Configuration, stream: CoinStream, *, step_cap: int | 
         raise ValueError("simulation requires an odd token count")
     n = config.ring_size
     cap = _default_cap(n, step_cap)
-    ring_mask = (1 << n) - 1
-    high_bit = n - 1
     occ = _occupancy(config)
     steps = 0
     while occ.bit_count() > 1:
         if steps >= cap:
             raise StepLimitError(cap)
-        coins = stream.coin_word(n)
-        moving = occ & coins
-        staying = occ & ~coins
-        occ = (staying ^ (((moving << 1) | (moving >> high_bit)) & ring_mask)) & ring_mask
+        occ = step_occupancy(occ, occ & stream.coin_word(n), n)
         steps += 1
     return steps
 
@@ -122,9 +121,6 @@ def _run_batch(occ0: int, n: int, master_seed: int, lo: int, hi: int, cap: int) 
     occ = np.full(count, occ0, dtype=np.uint64)
     orig = np.arange(count)
     steps = np.zeros(count, dtype=np.int64)
-    ring_mask = np.uint64((1 << n) - 1)
-    one = np.uint64(1)
-    high = np.uint64(n - 1)
     golden = np.uint64(GOLDEN)
     t = 0
     alive = np.bitwise_count(occ) > 1
@@ -133,10 +129,8 @@ def _run_batch(occ0: int, n: int, master_seed: int, lo: int, hi: int, cap: int) 
         if t >= cap:
             raise StepLimitError(cap, run_index=lo + int(orig[0]))
         state = state + golden
-        coins = _mix64_vec(state) & ring_mask
-        moving = occ & coins
-        staying = occ & ~coins
-        occ = (staying ^ (((moving << one) | (moving >> high)) & ring_mask)) & ring_mask
+        # coins above bit n-1 meet no token, so the word needs no masking
+        occ = step_occupancy(occ, occ & _mix64_vec(state), n)
         t += 1
         done = np.bitwise_count(occ) == 1
         if done.any():
@@ -161,6 +155,8 @@ def run_steps(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     n = config.ring_size
+    if n > OCCUPANCY_BITS:
+        raise ValueError(f"ring size {n} exceeds the {OCCUPANCY_BITS}-process occupancy word of the simulator")
     cap = _default_cap(n, step_cap)
     occ0 = _occupancy(config)
     bounds = [(lo, min(lo + batch_size, runs)) for lo in range(0, runs, batch_size)]

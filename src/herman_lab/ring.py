@@ -4,8 +4,9 @@ A ring of N processes (numbered 1..N clockwise) holds K tokens.  Each
 step, every token independently stays or moves one position clockwise;
 two tokens landing on one process annihilate.  The module provides the
 position view (`Configuration`), the gap view (`GapVector`), the bit
-view (`BitRing`) of the original protocol, and the conversions and step
-operators connecting them.
+view (`BitRing`) of the original protocol, the N-bit occupancy mask that
+both the exact chain and the simulator step, and the conversions and
+step operators connecting them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .streams import CoinStream
+
+OCCUPANCY_BITS = 64  # occupancy masks are stepped as uint64 words
 
 # A move mask is one boolean per token, in position-sorted token order.
 MoveMask = Sequence[bool]
@@ -142,6 +147,32 @@ def apply_step(config: Configuration, mask: MoveMask) -> Configuration:
     if not occupancy:
         raise ValueError("all tokens annihilated; no configuration remains")
     return Configuration(n, tuple(sorted(occupancy)))
+
+
+def _rotl(mask, n: int):
+    """Rotate an n-bit mask one process clockwise (bit i to bit i+1, bit n-1 to bit 0).
+
+    `mask` is a Python int or a uint64 array; both use the same operators.
+    """
+    return ((mask << 1) | (mask >> (n - 1))) & ((1 << n) - 1)
+
+
+def step_occupancy(occ, moving, n: int):
+    """One synchronous step of the n-bit occupancy mask `occ` (bit p-1 is process p).
+
+    `moving` is the subset of `occ` whose tokens move clockwise.  A token
+    landing on a staying one cancels it, so annihilation is a XOR.
+    """
+    return (occ & ~moving) ^ _rotl(moving, n)
+
+
+def necklace_key(mask, n: int):
+    """Least of the n cyclic rotations of an n-bit mask: one key per necklace."""
+    key = mask
+    for _ in range(n - 1):
+        mask = _rotl(mask, n)
+        key = np.minimum(key, mask) if isinstance(key, np.ndarray) else min(key, mask)
+    return key
 
 
 def random_step(config: Configuration, rng: CoinStream) -> Configuration:

@@ -265,3 +265,60 @@ def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     assert code == code2 == 0
     # thread count never changes output bytes
     assert out_env == out_plain
+
+
+def test_simulate_rejects_ring_beyond_occupancy_word(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--config", "N=65;gaps=21,21,23", "--runs", "10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "64" in err and len(err.strip().splitlines()) == 1
+
+
+def test_exact_rejects_raised_capacity_beyond_occupancy_word(capsys):
+    code, out, err = run_cli(capsys, "exact", "--config", "N=65;gaps=21,21,23", "--exact-capacity-n", "65")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "occupancy word" in err
+
+
+def test_exact_float_rejects_raised_capacity_beyond_occupancy_word(capsys):
+    for mode in (("--config", "N=65;gaps=21,21,23"), ("--sweep", "65", "--exact-capacity-n", "65")):
+        code, out, err = run_cli(capsys, "exact", *mode, "--float", "--float-capacity-n", "65")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "occupancy word" in err
+
+
+def test_exact_float_sweep_over_capacity_is_exit_two(capsys):
+    code, out, err = run_cli(capsys, "exact", "--sweep", "21", "--float")
+    assert code == 2
+    assert out == ""
+    assert "capacity" in err
+
+
+def test_simulate_bad_histogram_path_fails_before_output(tmp_path, capsys):
+    path = tmp_path / "missing" / "hist.csv"
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10", "--histogram", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("source", ["flag", "config_file", "env"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_simulate_rejects_threads_below_one(source, threads, tmp_path, capsys, monkeypatch):
+    argv = ["simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10"]
+    if source == "flag":
+        argv += ["--threads", threads]
+    elif source == "config_file":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"threads={threads}\n")
+        argv += ["--config-file", str(cfg)]
+    else:
+        monkeypatch.setenv("HERMAN_LAB_THREADS", threads)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "threads" in err

@@ -105,6 +105,39 @@ def test_step_gaps_matches_position_pipeline(rng):
         ) == canonical_rotation(GapVector(n, expected))
 
 
+def reference_successor_counts(n, gaps):
+    """Gap-space oracle: every mask through step_gaps, keyed by canonical rotation."""
+    counts = {}
+    for mask in range(1 << len(gaps)):
+        succ = step_gaps(gaps, mask)
+        key = canonical_rotation(GapVector(n, succ)).gaps
+        counts[key] = counts.get(key, 0) + 1
+    return tuple(sorted(counts.items(), key=lambda item: (len(item[0]), item[0])))
+
+
+def test_successor_kernel_matches_gap_reference_on_every_state():
+    for n in range(3, 13):
+        for gaps in enumerate_states(n):
+            assert markov._successor_counts(n, gaps) == reference_successor_counts(n, gaps), (n, gaps)
+
+
+def test_successor_kernel_non_canonical_and_even_k(rng):
+    assert markov._successor_counts(4, (1, 3)) == (((), 1), ((1, 3), 2), ((2, 2), 1))
+    assert markov._successor_counts(4, (3, 1)) == markov._successor_counts(4, (1, 3))
+    for _ in range(200):
+        k = rng.randint(2, 9)
+        n = rng.randint(k + 1, 20)
+        gaps = random_gaps(rng, k, n).gaps
+        assert markov._successor_counts(n, gaps) == reference_successor_counts(n, gaps), (n, gaps)
+
+
+def test_successor_kernel_at_word_size():
+    gaps = (21, 21, 22)
+    assert markov._successor_counts(64, gaps) == reference_successor_counts(64, gaps)
+    with pytest.raises(CapacityError):
+        successor_distribution(GapVector(65, (21, 21, 23)))
+
+
 # --- exact expected times ------------------------------------------------------
 
 def test_absorbed_state_time_zero():
@@ -164,6 +197,16 @@ def test_float_path_agrees_with_exact(rng):
 def test_float_capacity_error():
     with pytest.raises(CapacityError):
         expected_time_float(GapVector(25, (5, 5, 15)))
+
+
+def test_raised_capacity_stops_at_the_occupancy_word():
+    g = GapVector(65, (21, 21, 23))
+    with pytest.raises(CapacityError, match="occupancy word"):
+        expected_time_exact(g, max_ring=65)
+    with pytest.raises(CapacityError, match="occupancy word"):
+        expected_time_float(g, max_ring=65)
+    with pytest.raises(CapacityError, match="occupancy word"):
+        markov.solve_all_exact(65, max_ring=100)
 
 
 def test_solve_all_float_matches_exact():

@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 
 from conftest import random_gaps
@@ -15,9 +16,11 @@ from herman_lab.ring import (
     config_from_gaps,
     format_gap_literal,
     gap_vector,
+    necklace_key,
     parse_configuration,
     parse_gap_vector,
     random_step,
+    step_occupancy,
     token_positions,
 )
 from herman_lab.streams import CoinStream
@@ -267,3 +270,71 @@ def test_parse_literals():
 def test_parse_literal_errors(bad):
     with pytest.raises(ValueError):
         parse_gap_vector(bad)
+
+
+# --- occupancy kernel ------------------------------------------------------------
+
+def occupancy(config):
+    return sum(1 << (p - 1) for p in config.positions)
+
+
+def random_configuration(rng, n):
+    k = rng.randint(1, n)
+    return Configuration(n, tuple(sorted(rng.sample(range(1, n + 1), k))))
+
+
+def moving_mask(config, mask):
+    return sum(1 << (p - 1) for p, move in zip(config.positions, mask) if move)
+
+
+def test_step_occupancy_matches_apply_step(rng):
+    for trial in range(600):
+        n = 64 if trial % 4 == 0 else rng.randint(3, 64)
+        config = random_configuration(rng, n)
+        mask = tuple(rng.random() < 0.5 for _ in config.positions)
+        stepped = step_occupancy(occupancy(config), moving_mask(config, mask), n)
+        try:
+            expected = occupancy(apply_step(config, mask))
+        except ValueError:  # every token annihilated
+            expected = 0
+        assert stepped == expected
+
+
+def test_step_occupancy_wraps_at_word_boundary():
+    config = Configuration(64, (1, 63, 64))
+    # the token on process 64 passes to process 1, which its holder leaves
+    assert step_occupancy(occupancy(config), 1 << 63 | 1, 64) == occupancy(Configuration(64, (1, 2, 63)))
+    # received on process 1 while that token stays: the pair annihilates
+    assert step_occupancy(occupancy(config), 1 << 63, 64) == occupancy(Configuration(64, (63,)))
+
+
+def test_step_occupancy_matches_bit_step(rng):
+    for _ in range(300):
+        n = rng.randrange(3, 64, 2)
+        bits = BitRing(tuple(rng.random() < 0.5 for _ in range(n)))
+        config = config_from_bits(bits)
+        flips = tuple(rng.random() < 0.5 for _ in config.positions)
+        stepped = step_occupancy(occupancy(config), moving_mask(config, flips), n)
+        assert stepped == occupancy(config_from_bits(bit_step(bits, flips)))
+
+
+def test_occupancy_kernel_on_uint64_arrays(rng):
+    for n in (3, 17, 63, 64):
+        occ = [rng.getrandbits(n) for _ in range(200)]
+        moving = [o & rng.getrandbits(n) for o in occ]
+        stepped = step_occupancy(np.array(occ, dtype=np.uint64), np.array(moving, dtype=np.uint64), n)
+        assert stepped.dtype == np.uint64
+        assert stepped.tolist() == [step_occupancy(o, m, n) for o, m in zip(occ, moving)]
+        keys = necklace_key(np.array(occ, dtype=np.uint64), n)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [necklace_key(o, n) for o in occ]
+
+
+def test_necklace_key_is_least_rotation(rng):
+    for _ in range(200):
+        n = rng.randint(3, 64)
+        mask = rng.getrandbits(n)
+        ring = (1 << n) - 1
+        rotations = [((mask << r) | (mask >> (n - r))) & ring for r in range(n)]
+        assert necklace_key(mask, n) == min(rotations)
+        assert {necklace_key(r, n) for r in rotations} == {min(rotations)}
