@@ -8,39 +8,41 @@ keyed by necklace (least rotation) and mapped back to canonical gaps, so
 N is limited to the 64-bit word.  The drift identities need the unmerged
 K-vectors, so they step in gap space instead: the increments are +-1/0
 per gap, and a gap hitting zero removes the colliding token pair and
-merges its neighboring gaps.  Expected stabilization times are obtained
-by exact rational elimination over the reachable state space, ordered
-by token count so each linear block only references already-solved
-smaller blocks.
+merges its neighboring gaps.  Expected stabilization times are solved
+exactly over the reachable state space, ordered by token count so each
+linear block only references already-solved smaller blocks.
 
-Large blocks are solved by modular elimination with Chinese remaindering
-and rational reconstruction; every reconstructed solution is verified
-against the original rational system before being accepted, with plain
-Fraction elimination as the fallback, so the fast path cannot silently
-return a wrong answer.
+Multiplied by 2^K and by the lcm of the denominators it refers to, a
+block is an integer system: 2^K I minus the mask counts, with an integer
+right-hand side.  It is factored once modulo one prime, the solution is
+lifted p-adically (Dixon) and recovered by rational reconstruction over
+one common denominator.  Every solution is accepted only after an exact
+integer check of every row, which is the original rational system
+multiplied through, with Fraction elimination as the fallback, so the
+fast path cannot silently return a wrong answer.  The float path solves
+the same blocks divided by 2^K.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .lyapunov import ALPHA, V, V3, V5, f3_index_triples, f5_index_quintuples
-from .ring import OCCUPANCY_BITS, GapVector, canonical_rotation, necklace_key, step_occupancy
+from .ring import OCCUPANCY_BITS, GapVector, necklace_key, step_occupancy
 
 EXACT_RING_LIMIT = 14
 FLOAT_RING_LIMIT = 20
 FLOAT_RESIDUAL_TOL = 1e-9
-
-_FRACTION_BLOCK_LIMIT = 48  # above this, try the modular solver first
-_MAX_PRIMES = 40  # 30-bit primes; solution denominators can reach hundreds of bits
 
 
 class CapacityError(RuntimeError):
@@ -308,66 +310,57 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=1)
-def _solver_primes() -> tuple[int, ...]:
-    primes = []
-    cand = (1 << 30) - 1
-    while len(primes) < _MAX_PRIMES:
-        if _is_probable_prime(cand):
-            primes.append(cand)
-        cand -= 2
-    return tuple(primes)
+def _lifting_primes(n: int) -> Iterator[int]:
+    """Primes in descending order, starting at the largest p with n (p-1)^2 < 2^63.
+
+    Every int64 dot product of length n over residues mod p then stays
+    exact, and so does every entry of the factorization below.
+    """
+    p = math.isqrt((2**63 - 1) // n) + 1
+    while p > 2:
+        if _is_probable_prime(p):
+            yield p
+        p -= 1
 
 
-def _solve_mod_p(rows: list[list[Fraction]], rhs: list[Fraction], p: int) -> list[int] | None:
-    n = len(rhs)
-    inverse_cache: dict[int, int] = {1: 1}
+def _factor_mod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, list[int]] | None:
+    """Row-pivoted LU of A mod p as (packed L\\U, row order, 1/U[k, k]); None if singular.
 
-    def residue(value: Fraction) -> int | None:
-        den = value.denominator
-        inv = inverse_cache.get(den)
-        if inv is None:
-            dm = den % p
-            if dm == 0:
-                return None
-            inv = pow(dm, p - 2, p)
-            inverse_cache[den] = inv
-        return value.numerator % p * inv % p
-
-    aug = np.zeros((n, n + 1), dtype=np.int64)
-    for i in range(n):
-        row = rows[i]
-        for j in range(n):
-            if row[j]:
-                r = residue(row[j])
-                if r is None:
-                    return None
-                aug[i, j] = r
-        r = residue(rhs[i])
-        if r is None:
+    Only the rows below each pivot are updated, and the trailing block is
+    left unreduced: each of its entries loses at most n-1 products below
+    (p-1)^2 from a start in [0, p), which `_lifting_primes` keeps inside
+    int64.  A row or column is reduced when it becomes part of L or U.
+    """
+    n = len(a)
+    lu = a % p
+    order = np.arange(n)
+    inverses = []
+    for k in range(n):
+        col = lu[k:, k] % p
+        nonzero = np.flatnonzero(col)
+        if nonzero.size == 0:
             return None
-        aug[i, n] = r
-    for col in range(n):
-        piv_rows = np.nonzero(aug[col:, col])[0]
-        if piv_rows.size == 0:
-            return None
-        piv = col + int(piv_rows[0])
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        inv = pow(int(aug[col, col]), p - 2, p)
-        aug[col] = aug[col] * inv % p
-        below = aug[col + 1 :, col].copy()
-        if below.any():
-            aug[col + 1 :] = (aug[col + 1 :] - np.outer(below, aug[col])) % p
-    x = [0] * n
-    for col in range(n - 1, -1, -1):
-        acc = int(aug[col, n])
-        row = aug[col]
-        for j in range(col + 1, n):
-            rj = int(row[j])
-            if rj:
-                acc -= rj * x[j]
-        x[col] = acc % p
+        piv = k + int(nonzero[0])
+        if piv != k:
+            lu[[k, piv]] = lu[[piv, k]]
+            order[[k, piv]] = order[[piv, k]]
+            col[[0, piv - k]] = col[[piv - k, 0]]
+        lu[k, k:] %= p
+        inv = pow(int(col[0]), -1, p)
+        inverses.append(inv)
+        lu[k + 1 :, k] = col[1:] * inv % p
+        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
+    return lu, order, inverses
+
+
+def _lu_solve_mod_p(factors: tuple[np.ndarray, np.ndarray, list[int]], rhs: np.ndarray, p: int) -> np.ndarray:
+    """x in [0, p)^n with A x = rhs (mod p), from the factors of `_factor_mod_p`."""
+    lu, order, inverses = factors
+    x = rhs[order]
+    for k in range(1, len(x)):
+        x[k] = (int(x[k]) - int(lu[k, :k] @ x[:k])) % p
+    for k in range(len(x) - 1, -1, -1):
+        x[k] = (int(x[k]) - int(lu[k, k + 1 :] @ x[k + 1 :])) % p * inverses[k] % p
     return x
 
 
@@ -385,42 +378,91 @@ def _rational_reconstruct(a: int, m: int) -> Fraction | None:
     return Fraction(num, abs(s1))
 
 
-def _verify_solution(rows, rhs, x) -> bool:
-    for i, row in enumerate(rows):
-        total = Fraction(0)
-        for j, coeff in enumerate(row):
-            if coeff:
-                total += coeff * x[j]
-        if total != rhs[i]:
+def _common_denominator(z: np.ndarray, first: Fraction, m: int) -> tuple[list[int], int] | None:
+    """Numerators over one denominator for the residues z mod m, or None.
+
+    `first` is the reconstruction of z[0].  Every other residue is scaled
+    by the denominator found so far; when the product is a small integer
+    it is the numerator, and only otherwise is it reconstructed, its
+    denominator joining the common one.
+    """
+    bound = math.isqrt(m // 2)
+    den = first.denominator
+    nums = [first.numerator]
+    for value in z[1:].tolist():
+        t = value * den % m
+        if t > m // 2:
+            t -= m
+        if abs(t) <= bound:
+            nums.append(t)
+            continue
+        extra = _rational_reconstruct(t, m)
+        if extra is None:
+            return None
+        nums = [u * extra.denominator for u in nums]
+        nums.append(extra.numerator)
+        den *= extra.denominator
+    return nums, den
+
+
+def _verify_solution(a: np.ndarray, b: list[int], nums: list[int], den: int) -> bool:
+    """Exact integer check of every row: A nums == den b."""
+    for row, rhs in zip(a, b):
+        cols = np.flatnonzero(row)
+        if sum(map(operator.mul, row[cols].tolist(), [nums[j] for j in cols.tolist()])) != den * rhs:
             return False
     return True
 
 
-def _solve_linear_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(rhs)
+def _solve_integer(a: np.ndarray, b: list[int]) -> list[Fraction]:
+    """Exact solution of A z = b for a nonsingular int64 matrix and integer b.
+
+    A is factored once modulo one prime (the next one only if A is
+    singular there) and z is lifted p-adically (Dixon).  After each lift
+    step the first entry is reconstructed (Wang); once it repeats, the
+    whole solution is recovered over one common denominator and accepted
+    only if `_verify_solution` holds for every row.  At the lift bound,
+    p^m > 2 (|b| H)^2 with H the Hadamard bound on det A, reconstruction is
+    guaranteed; a solution that still fails the check falls back to
+    Fraction elimination.  The absolute row sums of A must stay below
+    2^30, so that A times a digit vector stays inside int64; a hitting-time
+    block's are at most 2^(K+1).
+    """
+    n = len(b)
     if n == 0:
         return []
-    if n <= _FRACTION_BLOCK_LIMIT:
-        return _gauss_fraction(rows, rhs)
-    residues: list[int] | None = None
+    norms = np.sqrt(np.square(a, dtype=np.float64).sum(axis=0))
+    det_bits = float(np.log2(np.maximum(norms, 1.0)).sum())
+    tried_bits = 0.0
+    for p in _lifting_primes(n):
+        factors = _factor_mod_p(a, p)
+        if factors is not None:
+            break
+        tried_bits += math.log2(p)
+        if tried_bits > det_bits:  # the product of the primes dividing det A exceeds its bound
+            raise ArithmeticError("singular hitting-time system")
+    b_bits = max(v.bit_length() for v in b) + math.log2(n) / 2
+    last = math.ceil((2 * (b_bits + det_bits) + 1) / math.log2(p))
+    residue = np.array(b, dtype=object)
+    z = np.zeros(n, dtype=object)
     modulus = 1
-    for p in _solver_primes():
-        sol_p = _solve_mod_p(rows, rhs, p)
-        if sol_p is None:
+    previous = None
+    for step in range(1, last + 1):
+        digits = _lu_solve_mod_p(factors, (residue % p).astype(np.int64), p)
+        z += digits.astype(object) * modulus
+        residue = (residue - a @ digits) // p
+        modulus *= p
+        first = _rational_reconstruct(int(z[0]), modulus)
+        if first is None or (first != previous and step < last):
+            previous = first
             continue
-        if residues is None:
-            residues, modulus = sol_p, p
-        else:
-            inv = pow(modulus % p, p - 2, p)
-            combined = []
-            for r_old, r_new in zip(residues, sol_p):
-                t = (r_new - r_old) % p * inv % p
-                combined.append(r_old + modulus * t)
-            residues, modulus = combined, modulus * p
-        candidate = [_rational_reconstruct(r, modulus) for r in residues]
-        if all(c is not None for c in candidate) and _verify_solution(rows, rhs, candidate):
-            return candidate  # type: ignore[return-value]
-    return _gauss_fraction(rows, rhs)
+        found = _common_denominator(z, first, modulus)
+        if found is not None and _verify_solution(a, b, *found):
+            nums, den = found
+            return [Fraction(u, den) for u in nums]
+    return _gauss_fraction(
+        [[Fraction(v) for v in row] for row in a.tolist()], [Fraction(v) for v in b]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -441,34 +483,64 @@ def _reachable_states(n: int, seed: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(seen, key=lambda s: (len(s), s))
 
 
-def _solve_states(n: int, states: list[tuple[int, ...]]) -> None:
-    """Exactly solve E[T] for every state, ascending in token count."""
-    pending = [s for s in states if (n, s) not in _ET_CACHE]
-    for s in pending:
-        if len(s) <= 1:
-            _ET_CACHE[(n, s)] = Fraction(0)
+class _Block(NamedTuple):
+    """One token count's hitting-time system, multiplied through by 2^K.
+
+    `matrix` is 2^K I - C, C[i, j] the mask count from state i to state j
+    of the block.  `exits[i]` holds the successors of state i with fewer
+    tokens and their mask counts, in `_successor_counts` order; their
+    values are already solved and go to the right-hand side.
+
+    A block holds every same-K successor of its states, even when some
+    states were solved earlier: a K-token state reaches every other one
+    without a collision (one token's move passes a unit of gap backwards,
+    the move of all the others passes it forwards), so a solved state's
+    reachable set takes in its whole token count.
+    """
+
+    k: int
+    states: list[tuple[int, ...]]
+    matrix: np.ndarray
+    exits: list[tuple[tuple[tuple[int, ...], int], ...]]
+
+
+def _blocks(n: int, states: Iterable[tuple[int, ...]]) -> Iterator[_Block]:
+    """The blocks of the states with K >= 2, ascending in K."""
     by_k: dict[int, list[tuple[int, ...]]] = {}
-    for s in pending:
+    for s in states:
         if len(s) >= 2:
             by_k.setdefault(len(s), []).append(s)
     for k in sorted(by_k):
         block = sorted(by_k[k])
         index = {s: i for i, s in enumerate(block)}
-        size = len(block)
-        denom = 1 << k
-        rows = [[Fraction(0)] * size for _ in range(size)]
-        rhs = [Fraction(1)] * size
+        matrix = np.diag(np.full(len(block), 1 << k, dtype=np.int64))
+        exits = []
         for i, s in enumerate(block):
-            rows[i][i] = Fraction(1)
-            for succ, count in _successor_counts(n, s):
-                prob = Fraction(count, denom)
-                if len(succ) == k:
-                    rows[i][index[succ]] -= prob
-                else:
-                    rhs[i] += prob * _ET_CACHE[(n, succ)]
-        solution = _solve_linear_exact(rows, rhs)
-        for s, value in zip(block, solution):
-            _ET_CACHE[(n, s)] = value
+            pairs = _successor_counts(n, s)  # in (K, gaps) order: the exits come first
+            split = bisect_left(pairs, k, key=lambda pair: len(pair[0]))
+            exits.append(pairs[:split])
+            cols = [index[succ] for succ, _count in pairs[split:]]
+            matrix[i, cols] -= np.array([count for _succ, count in pairs[split:]], dtype=np.int64)
+        yield _Block(k, block, matrix, exits)
+
+
+def _solve_states(n: int, states: list[tuple[int, ...]]) -> None:
+    """Exactly solve E[T] for every state, ascending in token count.
+
+    With L the lcm of the denominators of the solved values a block
+    refers to, the block times L is an integer system A (L E) = b.
+    """
+    pending = [s for s in states if (n, s) not in _ET_CACHE]
+    for s in pending:
+        if len(s) <= 1:
+            _ET_CACHE[(n, s)] = Fraction(0)
+    for block in _blocks(n, pending):
+        known = {succ: _ET_CACHE[(n, succ)] for out in block.exits for succ, _count in out}
+        lcm = math.lcm(*(v.denominator for v in known.values()))
+        scaled = {s: v.numerator * (lcm // v.denominator) for s, v in known.items()}
+        rhs = [(lcm << block.k) + sum(count * scaled[succ] for succ, count in out) for out in block.exits]
+        for s, value in zip(block.states, _solve_integer(block.matrix, rhs)):
+            _ET_CACHE[(n, s)] = value / lcm
 
 
 def _check_capacity(n: int, max_ring: int | None, default: int) -> None:
@@ -493,32 +565,22 @@ def expected_time_exact(g: GapVector, *, max_ring: int | None = None) -> Fractio
 
 
 def _solve_states_float(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int, ...], float]:
-    values: dict[tuple[int, ...], float] = {}
-    by_k: dict[int, list[tuple[int, ...]]] = {}
-    for s in states:
-        if len(s) <= 1:
-            values[s] = 0.0
-        else:
-            by_k.setdefault(len(s), []).append(s)
-    for k in sorted(by_k):
-        block = sorted(by_k[k])
-        index = {s: i for i, s in enumerate(block)}
-        size = len(block)
-        denom = float(1 << k)
-        a = np.eye(size)
-        b = np.ones(size)
-        for i, s in enumerate(block):
-            for succ, count in _successor_counts(n, s):
-                prob = count / denom
-                if len(succ) == k:
-                    a[i, index[succ]] -= prob
-                else:
-                    b[i] += prob * values[succ]
+    values = {s: 0.0 for s in states if len(s) <= 1}
+    for block in _blocks(n, states):
+        denom = float(1 << block.k)
+        a = block.matrix.view(np.float64)  # in place: the integer block is not needed again
+        np.divide(block.matrix, denom, out=a)  # dyadic, so equal to I - C / 2^K bit for bit
+        b = np.empty(len(block.states))
+        for i, out in enumerate(block.exits):
+            total = 1.0
+            for succ, count in out:
+                total += count / denom * values[succ]
+            b[i] = total
         x = np.linalg.solve(a, b)
         residual = float(np.max(np.abs(a @ x - b)))
         if residual > FLOAT_RESIDUAL_TOL:
             raise RuntimeError(f"float solve residual {residual:.3e} exceeds {FLOAT_RESIDUAL_TOL}")
-        for s, value in zip(block, x):
+        for s, value in zip(block.states, x):
             values[s] = float(value)
     return values
 
@@ -771,20 +833,3 @@ def moment_formula(k: int, indices: Iterable[int]) -> Fraction | None:
             return None
         return block_value(l1) * block_value(l2)
     return None
-
-
-def expected_time_record(g: GapVector, et: Fraction) -> dict:
-    bound = theorem1_bound(g.ring_size)
-    return {
-        "N": g.ring_size,
-        "gaps": list(g.gaps),
-        "expected_time_num": et.numerator,
-        "expected_time_den": et.denominator,
-        "bound_num": bound.numerator,
-        "bound_den": bound.denominator,
-        "pass": et <= bound,
-    }
-
-
-def canonical_gap_vector(g: GapVector) -> GapVector:
-    return canonical_rotation(g)

@@ -1,6 +1,7 @@
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
+import numpy as np
 import pytest
 
 from conftest import random_gaps
@@ -251,6 +252,119 @@ def test_theorem1_strict_up_to_default_capacity():
         assert value < theorem1_bound(n)
 
 
+# --- exact integer solver -----------------------------------------------------
+
+def _fraction_system(a, b):
+    return [[Fraction(v) for v in row] for row in a], [Fraction(v) for v in b]
+
+
+def _random_nonsingular(rng, n):
+    while True:
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        try:
+            markov._gauss_fraction(*_fraction_system(a, [0] * n))
+        except ArithmeticError:
+            continue
+        return a
+
+
+def _no_fallback(rows, rhs):
+    raise AssertionError("the lifted solution was not accepted")
+
+
+def test_integer_solver_matches_fraction_elimination(rng, monkeypatch):
+    cases = []
+    for trial in range(40):
+        n = rng.randint(1, 8)
+        a = _random_nonsingular(rng, n)
+        big = 1 << rng.randint(1, 300)
+        b = [
+            [rng.randint(0, big) for _ in range(n)],
+            [-rng.randint(0, big) for _ in range(n)],
+            [rng.randint(-big, big) for _ in range(n)],
+        ][trial % 3]
+        cases.append((a, b, markov._gauss_fraction(*_fraction_system(a, b))))
+    monkeypatch.setattr(markov, "_gauss_fraction", _no_fallback)
+    for a, b, expected in cases:
+        assert markov._solve_integer(np.array(a, dtype=np.int64), b) == expected
+
+
+def test_each_token_count_is_strongly_connected_without_collisions():
+    # the exact solver relies on this: a solved state's reachable set holds
+    # its whole token count, so no block has a same-K successor outside it
+    for n in range(3, 13):
+        by_k = {}
+        for s in enumerate_states(n):
+            by_k.setdefault(len(s), set()).add(s)
+        for k, states in by_k.items():
+            for start in states:
+                seen, stack = {start}, [start]
+                while stack:
+                    for succ, _count in markov._successor_counts(n, stack.pop()):
+                        if len(succ) == k and succ not in seen:
+                            seen.add(succ)
+                            stack.append(succ)
+                assert seen == states
+
+
+def test_every_sweep_block_is_accepted_without_fallback(monkeypatch):
+    expected = markov.solve_all_exact(12)
+    monkeypatch.setattr(markov, "_ET_CACHE", {})
+    monkeypatch.setattr(markov, "_gauss_fraction", _no_fallback)
+    assert markov.solve_all_exact(12) == expected
+
+
+def test_integer_solver_takes_next_prime_when_singular_mod_p(monkeypatch):
+    first, second = islice(markov._lifting_primes(2), 2)
+    q = 1 << 16
+    y, r = divmod(first, q)
+    a = [[q, 1], [-r, y]]  # det = q y + r = first
+    b = [3, -5]
+    tried = []
+    factor = markov._factor_mod_p
+
+    def spy(matrix, p):
+        tried.append(p)
+        return factor(matrix, p)
+
+    monkeypatch.setattr(markov, "_factor_mod_p", spy)
+    solution = markov._solve_integer(np.array(a, dtype=np.int64), b)
+    assert tried == [first, second]
+    assert solution == markov._gauss_fraction(*_fraction_system(a, b))
+
+
+def test_integer_solver_rejects_singular_system():
+    with pytest.raises(ArithmeticError):
+        markov._solve_integer(np.array([[1, 2], [2, 4]], dtype=np.int64), [1, 1])
+
+
+def test_failed_verification_falls_back_to_fraction_elimination(rng, monkeypatch):
+    a = _random_nonsingular(rng, 5)
+    b = [rng.randint(-(10**40), 10**40) for _ in range(5)]
+    expected = markov._gauss_fraction(*_fraction_system(a, b))
+    fallbacks = []
+    gauss = markov._gauss_fraction
+
+    def spy(rows, rhs):
+        fallbacks.append(len(rhs))
+        return gauss(rows, rhs)
+
+    monkeypatch.setattr(markov, "_verify_solution", lambda *args: False)
+    monkeypatch.setattr(markov, "_gauss_fraction", spy)
+    assert markov._solve_integer(np.array(a, dtype=np.int64), b) == expected
+    assert fallbacks == [5]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 132, 715, 1000, 10**4, 10**5])
+def test_lifting_prime_keeps_int64_dot_products_exact(n):
+    first, second = islice(markov._lifting_primes(n), 2)
+    for p in (first, second):
+        assert markov._is_probable_prime(p)
+        assert n * (p - 1) ** 2 < 2**63
+    assert second < first
+    assert 2 * n * first**2 >= 2**63  # near the largest such prime, not merely a safe one
+
+
 def test_sweep_rows_schema():
     rows = sweep_rows(6)
     assert all(row.passed for row in rows)
@@ -441,17 +555,3 @@ def test_state_space_full_is_closed():
     space = markov.StateSpace.full(8)
     assert space.is_closed()
     assert set(space.states) == set(enumerate_states(8))
-
-
-def test_expected_time_record_schema():
-    g = GapVector(9, (3, 3, 3))
-    record = markov.expected_time_record(g, expected_time_exact(g))
-    assert record == {
-        "N": 9,
-        "gaps": [3, 3, 3],
-        "expected_time_num": 12,
-        "expected_time_den": 1,
-        "bound_num": 12,
-        "bound_den": 1,
-        "pass": True,
-    }
