@@ -30,6 +30,7 @@ CONFIG_KEYS = (
     "opt_starts",
     "output_format",
 )
+OUTPUT_FORMATS = ("json", "csv")
 
 
 @dataclass
@@ -47,19 +48,25 @@ def load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     """Defaults, then config-file values, then environment, then flags."""
     cfg = RunConfig()
     if path:
-        with open(path) as handle:
-            for lineno, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, eq, value = line.partition("=")
-                key = key.strip()
-                if eq != "=" or key not in CONFIG_KEYS:
-                    raise ValueError(f"{path}:{lineno}: bad config line {line!r}")
-                if key == "output_format":
-                    cfg.output_format = value.strip()
-                else:
-                    setattr(cfg, key, int(value.strip()))
+        try:
+            with open(path) as handle:
+                lines = handle.readlines()
+        except OSError as exc:
+            raise ValueError(f"cannot read the config file {path}: {exc.strerror}") from None
+        for lineno, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, eq, value = line.partition("=")
+            key = key.strip()
+            if eq != "=" or key not in CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: bad config line {line!r}")
+            if key == "output_format":
+                cfg.output_format = value.strip()
+                if cfg.output_format not in OUTPUT_FORMATS:
+                    raise ValueError(f"{path}:{lineno}: output_format must be one of {', '.join(OUTPUT_FORMATS)}")
+            else:
+                setattr(cfg, key, int(value.strip()))
     env_threads = os.environ.get("HERMAN_LAB_THREADS")
     if env_threads is not None and getattr(args, "threads", None) is None:
         cfg.threads = int(env_threads)
@@ -403,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--exact-capacity-n", dest="exact_capacity_n", type=int, default=None)
         p.add_argument("--float-capacity-n", dest="float_capacity_n", type=int, default=None)
-        p.add_argument("--output-format", dest="output_format", choices=("json", "csv"), default=None)
+        p.add_argument("--output-format", dest="output_format", choices=OUTPUT_FORMATS, default=None)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of the stabilization time")
     common(p_sim)

@@ -12,6 +12,14 @@ distribution; the cross-check against the position pipeline lives in
 Run i consumes only the stream derived as stream_key(master_seed, i)
 (see `streams`), so estimates are bit-identical however runs are
 batched or threaded.
+
+`run_steps` steps a batch of runs as uint64 arrays, one slot per run,
+and a step allocates nothing: the stream counters advance and are
+scrambled in place into a coin buffer, and `step_occupancy` writes the
+next words into a second buffer that then swaps with the first.  An
+absorbed run is retired by recording its step count and zeroing its
+word, which the step keeps at 0 and which has popcount 0.  The arrays
+are compacted only once more than a quarter of their slots are retired.
 """
 
 from __future__ import annotations
@@ -33,9 +41,10 @@ from .ring import (
     step_occupancy,
     token_positions,
 )
-from .streams import GOLDEN, MASK64, CoinStream
+from .streams import GOLDEN, MASK64, SCRAMBLE_MULTIPLIERS, SCRAMBLE_SHIFTS, CoinStream
 
 DEFAULT_STEP_CAP_FACTOR = 100  # cap = factor * N^2; a breach is a bug, not a sample
+COMPACT_DIVISOR = 4  # compact a batch once more than a quarter of its slots are retired
 
 
 class StepLimitError(RuntimeError):
@@ -98,45 +107,81 @@ def simulate_once(config: Configuration, stream: CoinStream, *, step_cap: int | 
     return steps
 
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = z.copy()
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
+def _scramble_into(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """`streams.scramble64` of every word of `z`, written to `out` (which may be `z`)."""
+    s1, s2, s3 = SCRAMBLE_SHIFTS
+    m1, m2 = SCRAMBLE_MULTIPLIERS
+    np.right_shift(z, s1, out=scratch)
+    np.bitwise_xor(z, scratch, out=out)
+    np.multiply(out, m1, out=out)
+    np.right_shift(out, s2, out=scratch)
+    np.bitwise_xor(out, scratch, out=out)
+    np.multiply(out, m2, out=out)
+    np.right_shift(out, s3, out=scratch)
+    np.bitwise_xor(out, scratch, out=out)
+    return out
 
 
 def _stream_keys(master_seed: int, lo: int, hi: int) -> np.ndarray:
-    idx = np.arange(lo, hi, dtype=np.uint64)
-    seeded = (idx + np.uint64(1)) * np.uint64(GOLDEN)
-    return _mix64_vec(np.uint64(master_seed & MASK64) ^ _mix64_vec(seeded))
+    keys = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+    scratch = np.empty_like(keys)
+    np.multiply(keys, GOLDEN, out=keys)
+    _scramble_into(keys, keys, scratch)
+    np.bitwise_xor(keys, master_seed & MASK64, out=keys)
+    return _scramble_into(keys, keys, scratch)
 
 
 def _run_batch(occ0: int, n: int, master_seed: int, lo: int, hi: int, cap: int) -> np.ndarray:
-    """Step all runs [lo, hi) to absorption; returns their step counts."""
+    """Step all runs [lo, hi) to absorption; returns their step counts.
+
+    A step allocates nothing.  One array slot per run holds its occupancy
+    word (`occ`) and its stream counter (`state`); the coin word, the next
+    occupancy word, a shift scratch, the popcounts and the done flags are
+    allocated once.  The counter and the splitmix64 finalizer run in place
+    and `ring.step_occupancy` writes into the next-word buffer, which then
+    swaps with `occ`.  A run is retired at absorption by recording its step
+    count and zeroing its word: 0 is a fixed point of the step with
+    popcount 0, so the run is never counted again.  The arrays are
+    compacted only when more than 1/COMPACT_DIVISOR of their slots are
+    retired, so a step pays for retired slots at most that share of its
+    work, and compaction runs a logarithmic number of times.
+    """
     count = hi - lo
+    steps = np.zeros(count, dtype=np.int64)
+    if occ0.bit_count() == 1:
+        return steps
     state = _stream_keys(master_seed, lo, hi)
     occ = np.full(count, occ0, dtype=np.uint64)
+    nxt = np.empty_like(occ)
+    coin = np.empty_like(occ)
+    scratch = np.empty_like(occ)
+    pop = np.empty(count, dtype=np.uint8)
+    done = np.empty(count, dtype=bool)
     orig = np.arange(count)
-    steps = np.zeros(count, dtype=np.int64)
-    golden = np.uint64(GOLDEN)
-    t = 0
-    alive = np.bitwise_count(occ) > 1
-    occ, state, orig = occ[alive], state[alive], orig[alive]
-    while occ.size:
+    live, retired, t = count, 0, 0
+    while live:
         if t >= cap:
-            raise StepLimitError(cap, run_index=lo + int(orig[0]))
-        state = state + golden
+            # retired zero words may sit anywhere; orig stays ascending
+            raise StepLimitError(cap, run_index=lo + int(orig[np.flatnonzero(occ)[0]]))
+        np.add(state, GOLDEN, out=state)
         # coins above bit n-1 meet no token, so the word needs no masking
-        occ = step_occupancy(occ, occ & _mix64_vec(state), n)
+        np.bitwise_and(_scramble_into(state, coin, scratch), occ, out=coin)
+        occ, nxt = step_occupancy(occ, coin, n, out=nxt), occ
         t += 1
-        done = np.bitwise_count(occ) == 1
-        if done.any():
-            steps[orig[done]] = t
-            keep = ~done
+        np.equal(np.bitwise_count(occ, out=pop), 1, out=done)
+        if not done.any():
+            continue
+        finished = done.nonzero()[0]
+        steps[orig[finished]] = t
+        occ[finished] = 0
+        live -= finished.size
+        retired += finished.size
+        if live and retired * COMPACT_DIVISOR > occ.size:
+            keep = occ != 0
             occ, state, orig = occ[keep], state[keep], orig[keep]
+            size = occ.size
+            nxt, coin, scratch, pop, done = nxt[:size], coin[:size], scratch[:size], pop[:size], done[:size]
+            retired = 0
     return steps
 
 

@@ -157,13 +157,29 @@ def _rotl(mask, n: int):
     return ((mask << 1) | (mask >> (n - 1))) & ((1 << n) - 1)
 
 
-def step_occupancy(occ, moving, n: int):
+def step_occupancy(occ, moving, n: int, out=None):
     """One synchronous step of the n-bit occupancy mask `occ` (bit p-1 is process p).
 
     `moving` is the subset of `occ` whose tokens move clockwise.  A token
     landing on a staying one cancels it, so annihilation is a XOR.
+
+    With `out`, a uint64 array sharing no memory with `occ` or `moving`,
+    the step of uint64 arrays is written there and nothing is allocated;
+    `moving` is consumed as scratch.  It is the same formula, one ufunc at
+    a time: occ & ~moving is occ ^ moving because moving is a subset of
+    occ, and the rotation's two halves are XORed in because they share no
+    bit.
     """
-    return (occ & ~moving) ^ _rotl(moving, n)
+    if out is None:
+        return (occ & ~moving) ^ _rotl(moving, n)
+    np.right_shift(moving, n - 1, out=out)
+    np.bitwise_xor(out, occ, out=out)
+    np.bitwise_xor(out, moving, out=out)
+    np.left_shift(moving, 1, out=moving)
+    if n < OCCUPANCY_BITS:
+        np.bitwise_and(moving, (1 << n) - 1, out=moving)
+    np.bitwise_xor(out, moving, out=out)
+    return out
 
 
 def necklace_key(mask, n: int):

@@ -19,16 +19,21 @@ from __future__ import annotations
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
+# the xorshift amounts and multipliers of scramble(z) above, in order of use
+SCRAMBLE_SHIFTS = (30, 27, 31)
+SCRAMBLE_MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 
 def scramble64(z: int) -> int:
     """splitmix64 finalizer on a 64-bit word."""
+    s1, s2, s3 = SCRAMBLE_SHIFTS
+    m1, m2 = SCRAMBLE_MULTIPLIERS
     z &= MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & MASK64
-    z ^= z >> 31
+    z ^= z >> s1
+    z = (z * m1) & MASK64
+    z ^= z >> s2
+    z = (z * m2) & MASK64
+    z ^= z >> s3
     return z
 
 

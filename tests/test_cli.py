@@ -256,6 +256,32 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("subcommand", [
+    ("simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10"),
+    ("exact", "--config", "N=9;gaps=3,3,3"),
+    ("verify", "moments", "--max-k", "5"),
+    ("optimize", "--target", "f3", "--k", "5"),
+])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unreadable_config_file_is_exit_two(subcommand, target, tmp_path, capsys):
+    path = tmp_path / "missing.cfg" if target == "missing" else tmp_path
+    code, out, err = run_cli(capsys, *subcommand, "--config-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(path) in err and len(err.strip().splitlines()) == 1
+
+
+def test_config_file_rejects_unknown_output_format(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("output_format=xml\n")
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10", "--config-file", str(cfg)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "output_format" in err
+
+
 def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HERMAN_LAB_THREADS", "2")
     argv = ("simulate", "--config", "N=9;gaps=3,3,3", "--runs", "2000", "--seed", "3")

@@ -26,6 +26,7 @@ def state(n, gaps):
 
 def test_single_token_takes_zero_steps():
     assert simulate_once(Configuration(5, (2,)), CoinStream.from_seed(0, 0)) == 0
+    assert run_steps(Configuration(5, (2,)), 10, 0).tolist() == [0] * 10
 
 
 def test_simulate_rejects_even_k():
@@ -35,11 +36,26 @@ def test_simulate_rejects_even_k():
         run_steps(Configuration(5, (1, 3)), 10, 0)
 
 
-def test_scalar_and_vectorized_runs_agree():
-    config = state(9, (3, 3, 3))
-    vec = run_steps(config, 400, 42)
-    scalar = [simulate_once(config, CoinStream.from_seed(42, i)) for i in range(400)]
-    assert vec.tolist() == scalar
+@pytest.mark.parametrize(
+    "n,gaps,runs",
+    [
+        (9, (3, 3, 3), 400),
+        (63, (21, 21, 21), 60),
+        (64, (21, 21, 22), 60),
+        (63, (13, 13, 13, 12, 12), 60),
+        (64, (13, 13, 13, 13, 12), 60),
+        (63, (9,) * 7, 60),
+        (64, (9,) * 6 + (10,), 60),
+    ],
+    ids=lambda value: None if isinstance(value, int) else f"K{len(value)}",
+)
+def test_scalar_and_vectorized_runs_agree(n, gaps, runs):
+    # N = 64 fills the uint64 word, so the rotation wraps at bit 63
+    config = state(n, gaps)
+    scalar = [simulate_once(config, CoinStream.from_seed(42, i)) for i in range(runs)]
+    assert run_steps(config, runs, 42).tolist() == scalar
+    batched = run_steps(config, runs, 42, threads=2, batch_size=runs // 3 + 1)
+    assert batched.tolist() == scalar
 
 
 def test_threaded_runs_change_nothing():
@@ -90,12 +106,24 @@ def test_estimates_match_exact_values(n, gaps):
     assert abs(stats.mean - exact) <= 4 * stats.stderr
 
 
-def test_step_cap_breach_is_an_error():
-    with pytest.raises(StepLimitError):
-        simulate_once(state(9, (3, 3, 3)), CoinStream.from_seed(0, 0), step_cap=0)
+def _breaches_cap(config, seed, run, cap):
+    try:
+        simulate_once(config, CoinStream.from_seed(seed, run), step_cap=cap)
+    except StepLimitError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("cap", (0, 4, 7))
+def test_step_cap_breach_is_an_error(cap):
+    # at seed 1, run 0 takes 4 steps: with cap 4 its retired zero word leads
+    # the array, and with cap 7 a compaction has already happened
+    config = state(9, (3, 3, 3))
+    first = next(i for i in range(100) if _breaches_cap(config, 1, i, cap))
     with pytest.raises(StepLimitError) as info:
-        run_steps(state(9, (3, 3, 3)), 100, 0, step_cap=0)
-    assert info.value.run_index is not None
+        run_steps(config, 100, 1, step_cap=cap)
+    assert info.value.run_index == first
+    assert info.value.cap == cap
 
 
 def test_max_steps_below_default_cap():

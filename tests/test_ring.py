@@ -325,6 +325,9 @@ def test_occupancy_kernel_on_uint64_arrays(rng):
         stepped = step_occupancy(np.array(occ, dtype=np.uint64), np.array(moving, dtype=np.uint64), n)
         assert stepped.dtype == np.uint64
         assert stepped.tolist() == [step_occupancy(o, m, n) for o, m in zip(occ, moving)]
+        out = np.empty(len(occ), dtype=np.uint64)
+        in_place = step_occupancy(np.array(occ, dtype=np.uint64), np.array(moving, dtype=np.uint64), n, out=out)
+        assert in_place is out and out.tolist() == stepped.tolist()
         keys = necklace_key(np.array(occ, dtype=np.uint64), n)
         assert keys.dtype == np.uint64
         assert keys.tolist() == [necklace_key(o, n) for o in occ]
