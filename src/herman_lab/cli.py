@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import markov, montecarlo, optimize, polynomials
 from .lyapunov import ALPHA, V, V3, V5
 from .ring import GapVector, parse_configuration, parse_gap_vector
-from .streams import CoinStream, stream_key
+from .streams import MASK64, CoinStream, stream_key
 
 CONFIG_KEYS = (
     "seed",
@@ -44,6 +44,13 @@ class RunConfig:
     output_format: str = "json"
 
 
+def _int_setting(text: str, name: str) -> int:
+    try:
+        return int(text.strip())
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text.strip()!r}") from None
+
+
 def load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     """Defaults, then config-file values, then environment, then flags."""
     cfg = RunConfig()
@@ -66,16 +73,18 @@ def load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
                 if cfg.output_format not in OUTPUT_FORMATS:
                     raise ValueError(f"{path}:{lineno}: output_format must be one of {', '.join(OUTPUT_FORMATS)}")
             else:
-                setattr(cfg, key, int(value.strip()))
+                setattr(cfg, key, _int_setting(value, f"{path}:{lineno}: {key}"))
     env_threads = os.environ.get("HERMAN_LAB_THREADS")
     if env_threads is not None and getattr(args, "threads", None) is None:
-        cfg.threads = int(env_threads)
+        cfg.threads = _int_setting(env_threads, "HERMAN_LAB_THREADS")
     for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
     if cfg.threads < 1:
         raise ValueError(f"threads must be >= 1, got {cfg.threads}")
+    if not 0 <= cfg.seed <= MASK64:  # the coin streams take a 64-bit seed
+        raise ValueError(f"seed must lie in 0..2^64-1, got {cfg.seed}")
     return cfg
 
 

@@ -28,34 +28,25 @@ SIMPLEX_TOL = 1e-12
 
 
 @lru_cache(maxsize=None)
-def f3_index_triples(k: int) -> tuple[tuple[int, int, int], ...]:
-    """Triples 0 <= i0 < i1 < i2 < k with i1-i0 and i2-i1 odd."""
-    out = []
-    for i0 in range(k):
-        for i1 in range(i0 + 1, k):
-            if (i1 - i0) % 2 == 0:
-                continue
-            for i2 in range(i1 + 1, k):
-                if (i2 - i1) % 2 == 1:
-                    out.append((i0, i1, i2))
-    return tuple(out)
+def alternating_tuples(k: int, length: int) -> tuple[tuple[int, ...], ...]:
+    """Ascending index tuples in 0..k-1 with every consecutive difference odd.
 
-
-@lru_cache(maxsize=None)
-def f5_index_quintuples(k: int) -> tuple[tuple[int, ...], ...]:
-    """Quintuples with all four consecutive differences odd."""
-    out = []
+    The tuples come in lexicographic order.  This is the one enumerator
+    of alternating index chains: f3 and f5 sum over all of them, and
+    every partial sum below (P, Q, R, the critical value c) and in
+    `optimize` and `polynomials` is this list filtered on its first index.
+    """
+    out: list[tuple[int, ...]] = []
 
     def extend(prefix: tuple[int, ...]):
-        if len(prefix) == 5:
+        if len(prefix) == length:
             out.append(prefix)
             return
-        for nxt in range(prefix[-1] + 1, k):
-            if (nxt - prefix[-1]) % 2 == 1:
-                extend(prefix + (nxt,))
+        for nxt in range(prefix[-1] + 1, k, 2):
+            extend(prefix + (nxt,))
 
-    for i0 in range(k):
-        extend((i0,))
+    for start in range(k):
+        extend((start,))
     return tuple(out)
 
 
@@ -81,14 +72,14 @@ def check_simplex(x: Sequence) -> None:
 def f3(x: Sequence, check: bool = True):
     if check:
         check_simplex(x)
-    return sum(x[a] * x[b] * x[c] for a, b, c in f3_index_triples(len(x)))
+    return sum(x[a] * x[b] * x[c] for a, b, c in alternating_tuples(len(x), 3))
 
 
 def f5(x: Sequence, check: bool = True):
     if check:
         check_simplex(x)
     total = 0
-    for a, b, c, d, e in f5_index_quintuples(len(x)):
+    for a, b, c, d, e in alternating_tuples(len(x), 5):
         total += x[a] * x[b] * x[c] * x[d] * x[e]
     return total
 
@@ -147,10 +138,9 @@ def c_value(x: Sequence, k: int = 0, alpha=ALPHA):
         raise ValueError("rotation offset must satisfy 0 <= k < K")
     linear = sum(x[(i2 + k) % K] for i2 in range(2, K, 2))
     cubic = 0
-    for i2 in range(2, K, 2):
-        for i3 in range(i2 + 1, K, 2):
-            for i4 in range(i3 + 1, K, 2):
-                cubic += x[(i2 + k) % K] * x[(i3 + k) % K] * x[(i4 + k) % K]
+    for i2, i3, i4 in alternating_tuples(K, 3):
+        if i2 >= 2 and i2 % 2 == 0:
+            cubic += x[(i2 + k) % K] * x[(i3 + k) % K] * x[(i4 + k) % K]
     return linear - alpha * cubic
 
 
@@ -160,8 +150,8 @@ def second_order_sum(x: Sequence, k: int = 0):
     if not 0 <= k < K:
         raise ValueError("rotation offset must satisfy 0 <= k < K")
     total = 0
-    for i3 in range(3, K, 2):
-        for i4 in range(i3 + 1, K, 2):
+    for i3, i4 in alternating_tuples(K, 2):
+        if i3 >= 3 and i3 % 2 == 1:
             total += x[(i3 + k) % K] * x[(i4 + k) % K]
     return total
 
@@ -170,15 +160,13 @@ def _partial_at_zero(x: Sequence, alpha=ALPHA):
     """P = df/dx_0: pair sum minus alpha times the alternating quadruple sum."""
     K = len(x)
     pairs = 0
-    for i1 in range(1, K, 2):
-        for i2 in range(i1 + 1, K, 2):
+    for i1, i2 in alternating_tuples(K, 2):
+        if i1 % 2 == 1:
             pairs += x[i1] * x[i2]
     quads = 0
-    for i1 in range(1, K, 2):
-        for i2 in range(i1 + 1, K, 2):
-            for i3 in range(i2 + 1, K, 2):
-                for i4 in range(i3 + 1, K, 2):
-                    quads += x[i1] * x[i2] * x[i3] * x[i4]
+    for i1, i2, i3, i4 in alternating_tuples(K, 4):
+        if i1 % 2 == 1:
+            quads += x[i1] * x[i2] * x[i3] * x[i4]
     return pairs - alpha * quads
 
 
@@ -195,9 +183,5 @@ def derivative_terms(x: Sequence, alpha=ALPHA):
     p = _partial_at_zero(x, alpha)
     rotated = tuple(x[(i + 2) % K] for i in range(K))
     q = _partial_at_zero(rotated, alpha) - p
-    pair_sum = 0
-    for i3 in range(3, K, 2):
-        for i4 in range(i3 + 1, K, 2):
-            pair_sum += x[i3] * x[i4]
-    r = -x[1] + alpha * x[1] * pair_sum
+    r = -x[1] + alpha * x[1] * second_order_sum(x)
     return p, q, r

@@ -25,7 +25,6 @@ the same blocks divided by 2^K.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from bisect import bisect_left
@@ -37,8 +36,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .lyapunov import ALPHA, V, V3, V5, f3_index_triples, f5_index_quintuples
-from .ring import OCCUPANCY_BITS, GapVector, necklace_key, step_occupancy
+from .lyapunov import ALPHA, V, V3, V5, f3, f5
+from .ring import OCCUPANCY_BITS, GapVector, least_rotation, necklace_key, step_occupancy
 
 EXACT_RING_LIMIT = 14
 FLOAT_RING_LIMIT = 20
@@ -55,35 +54,6 @@ class TransitionLaw:
 
     source: GapVector
     outcomes: tuple[tuple[GapVector, Fraction], ...]
-
-
-@dataclass(frozen=True)
-class StateSpace:
-    """Canonical gap vectors closed under the one-step transition law."""
-
-    ring_size: int
-    states: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def reachable_from(cls, g: GapVector) -> "StateSpace":
-        seed = _canon(g.gaps)
-        return cls(g.ring_size, tuple(_reachable_states(g.ring_size, seed)))
-
-    @classmethod
-    def full(cls, n: int) -> "StateSpace":
-        return cls(n, tuple(enumerate_states(n)))
-
-    def index_map(self) -> dict[tuple[int, ...], int]:
-        return {s: i for i, s in enumerate(self.states)}
-
-    def is_closed(self) -> bool:
-        """Closure under transitions, including the absorbing one-token class."""
-        members = set(self.states)
-        for s in self.states:
-            for succ, _count in _successor_counts(self.ring_size, s):
-                if succ not in members:
-                    return False
-        return True
 
 
 class DriftCheck(NamedTuple):
@@ -118,12 +88,6 @@ def theorem1_bound(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # one-step dynamics in gap space
 
-def _canon(gaps: tuple[int, ...]) -> tuple[int, ...]:
-    if len(gaps) <= 1:
-        return gaps
-    return min(gaps[i:] + gaps[:i] for i in range(len(gaps)))
-
-
 def gap_increments(k: int, mask: int) -> tuple[int, ...]:
     """The +-1/0 gap change vector induced by a move mask, before merging.
 
@@ -135,8 +99,7 @@ def gap_increments(k: int, mask: int) -> tuple[int, ...]:
 
 def _raw_increments(gaps: Sequence[int], mask: int) -> list[int]:
     """Gap values after the mask's moves, zeros (collisions) retained."""
-    k = len(gaps)
-    return [gaps[i] + ((mask >> i) & 1) - ((mask >> ((i - 1) % k)) & 1) for i in range(k)]
+    return [g + d for g, d in zip(gaps, gap_increments(len(gaps), mask))]
 
 
 def _merge_zeros(new: Sequence[int]) -> tuple[int, ...]:
@@ -252,7 +215,7 @@ def enumerate_states(n: int) -> list[tuple[int, ...]]:
                 gaps = prefix + (remaining,)
                 # canonical forms start with a minimal part; cheap pre-filter
                 if first <= min(gaps):
-                    found.add(_canon(gaps))
+                    found.add(least_rotation(gaps))
             return
         for g in range(1, remaining - parts + 2):
             compose(remaining - g, parts - 1, prefix + (g,), first)
@@ -558,7 +521,7 @@ def expected_time_exact(g: GapVector, *, max_ring: int | None = None) -> Fractio
     if g.token_count % 2 == 0:
         raise ValueError("stabilization time requires an odd token count")
     _check_capacity(g.ring_size, max_ring, EXACT_RING_LIMIT)
-    key = (g.ring_size, _canon(g.gaps))
+    key = (g.ring_size, least_rotation(g.gaps))
     if key not in _ET_CACHE:
         _solve_states(g.ring_size, _reachable_states(g.ring_size, key[1]))
     return _ET_CACHE[key]
@@ -590,7 +553,7 @@ def expected_time_float(g: GapVector, *, max_ring: int | None = None) -> float:
     if g.token_count % 2 == 0:
         raise ValueError("stabilization time requires an odd token count")
     _check_capacity(g.ring_size, max_ring, FLOAT_RING_LIMIT)
-    seed = _canon(g.gaps)
+    seed = least_rotation(g.gaps)
     values = _solve_states_float(g.ring_size, _reachable_states(g.ring_size, seed))
     return values[seed]
 
@@ -643,9 +606,6 @@ class SweepRow:
             "pass": self.passed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_record())
-
 
 SWEEP_CSV_HEADER = "N,K,gaps,expected_time,bound,pass"
 
@@ -666,21 +626,6 @@ def sweep_csv_line(row: SweepRow) -> str:
 # ---------------------------------------------------------------------------
 # drift identities
 
-def _f3_int(v: Sequence[int]) -> int:
-    if len(v) < 3:
-        return 0
-    return sum(v[a] * v[b] * v[c] for a, b, c in f3_index_triples(len(v)))
-
-
-def _f5_int(v: Sequence[int]) -> int:
-    if len(v) < 5:
-        return 0
-    total = 0
-    for a, b, c, d, e in f5_index_quintuples(len(v)):
-        total += v[a] * v[b] * v[c] * v[d] * v[e]
-    return total
-
-
 @lru_cache(maxsize=8192)
 def _drift_sums(n: int, gaps: tuple[int, ...]) -> tuple[int, int, int]:
     """(sum f3(succ), sum f5(succ), sum f5(raw)) over all 2^K masks.
@@ -695,10 +640,10 @@ def _drift_sums(n: int, gaps: tuple[int, ...]) -> tuple[int, int, int]:
     sum_f5_raw = 0
     for mask in range(1 << k):
         raw = _raw_increments(gaps, mask)
-        sum_f5_raw += _f5_int(raw)
+        sum_f5_raw += f5(raw, check=False)
         succ = _merge_zeros(raw)
-        sum_f3 += _f3_int(succ)
-        sum_f5 += _f5_int(succ)
+        sum_f3 += f3(succ, check=False)
+        sum_f5 += f5(succ, check=False)
     return sum_f3, sum_f5, sum_f5_raw
 
 
@@ -727,7 +672,7 @@ def verify_drift_V5(g: GapVector) -> DriftCheck:
     rhs = (
         V5(g)
         + Fraction((k - 1) * (k - 3), 32 * n * n)
-        - Fraction((k - 3) * _f3_int(g.gaps), 2 * n**3)
+        - Fraction((k - 3) * f3(g.gaps, check=False), 2 * n**3)
     )
     return DriftCheck(lhs, rhs, lhs == rhs)
 
@@ -755,8 +700,8 @@ def verify_prop17(g: GapVector) -> Prop17Check:
     lhs = Fraction(sum_f5_raw, denom)
     merged = Fraction(sum_f5, denom)
     rhs = (
-        Fraction(_f5_int(g.gaps))
-        - Fraction((k - 3) * _f3_int(g.gaps), 8)
+        Fraction(f5(g.gaps, check=False))
+        - Fraction((k - 3) * f3(g.gaps, check=False), 8)
         + Fraction((k - 1) * (k - 3) * n, 128)
     )
     return Prop17Check(lhs, rhs, merged, lhs == rhs and lhs == merged)
@@ -774,11 +719,8 @@ def lyapunov_bound_check(g: GapVector, *, max_ring: int | None = None) -> BoundC
 
 @lru_cache(maxsize=None)
 def _delta_matrix(k: int) -> np.ndarray:
-    masks = np.arange(1 << k, dtype=np.uint32)
-    cols = []
-    for i in range(k):
-        cols.append(((masks >> i) & 1).astype(np.int8) - ((masks >> ((i - 1) % k)) & 1).astype(np.int8))
-    return np.stack(cols, axis=1)
+    """Row m is `gap_increments(k, m)`."""
+    return np.array([gap_increments(k, mask) for mask in range(1 << k)], dtype=np.int8)
 
 
 def delta_moment(k: int, indices: Iterable[int]) -> Fraction:

@@ -24,7 +24,6 @@ are compacted only once more than a quarter of their slots are retired.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -75,9 +74,6 @@ class SimStats:
             "max_steps": self.max_steps,
             "seed": self.seed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_record())
 
 
 def _occupancy(config: Configuration) -> int:
@@ -261,9 +257,6 @@ class CouplingResult:
     passed: bool
     runs: int
     failure: dict | None = None
-
-    def to_json(self) -> str:
-        return json.dumps({"pass": self.passed, "runs": self.runs, "failure": self.failure})
 
 
 def coupled_equivalence(n: int, runs: int, master_seed: int) -> CouplingResult:

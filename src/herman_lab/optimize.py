@@ -12,7 +12,6 @@ interior local maximum would have to satisfy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import lyapunov
-from .lyapunov import ALPHA, f3_index_triples, f5_index_quintuples
+from .lyapunov import ALPHA, alternating_tuples
 
 TARGETS = ("f3", "f5", "f")
 
@@ -32,7 +31,6 @@ ONE_27 = 1.0 / 27.0
 class OptimizerConfig:
     starts: int = 50
     max_iters: int = 400
-    step_rule: str = "backtracking"  # or "fixed"
     step_size: float = 0.5
     tol_grad: float = 1e-7
     tol_interior: float = 1e-7
@@ -43,8 +41,6 @@ class OptimizerConfig:
             raise ValueError("starts must be >= 1")
         if self.tol_grad <= 0 or self.tol_interior <= 0:
             raise ValueError("tolerances must be positive")
-        if self.step_rule not in ("fixed", "backtracking"):
-            raise ValueError("step_rule must be 'fixed' or 'backtracking'")
 
 
 @dataclass
@@ -76,9 +72,6 @@ class CriticalPointReport:
             "lemma12_check": self.lemma12_check,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_record())
-
 
 @dataclass
 class ChainReport:
@@ -103,9 +96,6 @@ class ChainReport:
             "c_spread": self.c_spread,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_record())
-
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum x = 1} (sort-based)."""
@@ -121,16 +111,10 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _index_arrays(k: int):
     """numpy views of the monomial index sets and the P pair/quad patterns."""
-    t3 = np.array(f3_index_triples(k), dtype=np.intp).reshape(-1, 3)
-    q5 = np.array(f5_index_quintuples(k), dtype=np.intp).reshape(-1, 5)
-    pairs = [(i1, i2) for i1 in range(1, k, 2) for i2 in range(i1 + 1, k, 2)]
-    quads = [
-        (i1, i2, i3, i4)
-        for i1 in range(1, k, 2)
-        for i2 in range(i1 + 1, k, 2)
-        for i3 in range(i2 + 1, k, 2)
-        for i4 in range(i3 + 1, k, 2)
-    ]
+    t3 = np.array(alternating_tuples(k, 3), dtype=np.intp).reshape(-1, 3)
+    q5 = np.array(alternating_tuples(k, 5), dtype=np.intp).reshape(-1, 5)
+    pairs = [t for t in alternating_tuples(k, 2) if t[0] % 2 == 1]
+    quads = [t for t in alternating_tuples(k, 4) if t[0] % 2 == 1]
     rot = (np.arange(k)[:, None] + np.arange(k)[None, :]) % k
     return (
         t3,
@@ -199,25 +183,16 @@ def _ascend(x0, value_fn, grad_fn, cfg: OptimizerConfig, on_iterate=None):
         gnorm = float(np.linalg.norm(g - g.mean()))
         if gnorm <= cfg.tol_grad:
             break
-        if cfg.step_rule == "fixed":
-            y = project_to_simplex(x + cfg.step_size * g)
+        t = cfg.step_size
+        while t >= 1e-13:  # backtracking: halve the step until f increases
+            y = project_to_simplex(x + t * g)
             fy = value_fn(y)
-            if fy <= fx and np.allclose(y, x):
+            if fy > fx:
+                x, fx = y, fy
                 break
-            x, fx = y, fy
+            t *= 0.5
         else:
-            t = cfg.step_size
-            moved = False
-            while t >= 1e-13:
-                y = project_to_simplex(x + t * g)
-                fy = value_fn(y)
-                if fy > fx:
-                    x, fx = y, fy
-                    moved = True
-                    break
-                t *= 0.5
-            if not moved:
-                break
+            break
         if on_iterate is not None:
             on_iterate(x)
     return x, fx, gnorm
@@ -298,13 +273,12 @@ def _lemma14_margin(x, shift: int, i1: int) -> float:
     tail_lin = sum(at(i2) for i2 in range(i1 + 1, k, 2))
     full_cub = 0.0
     tail_cub = 0.0
-    for i2 in range(2, k, 2):
-        for i3 in range(i2 + 1, k, 2):
-            for i4 in range(i3 + 1, k, 2):
-                term = at(i2) * at(i3) * at(i4)
-                full_cub += term
-                if i2 > i1:
-                    tail_cub += term
+    for i2, i3, i4 in alternating_tuples(k, 3):
+        if i2 >= 2 and i2 % 2 == 0:
+            term = at(i2) * at(i3) * at(i4)
+            full_cub += term
+            if i2 > i1:
+                tail_cub += term
     return lead * ((full_lin - ALPHA * full_cub) - (tail_lin - ALPHA * tail_cub))
 
 
@@ -440,8 +414,3 @@ def gradient_fd_validation(
             worst = max(worst, abs(fd - analytic) / max(1.0, abs(analytic)))
     return float(worst)
 
-
-def scan_summary_csv(k: int, cfg: OptimizerConfig, reports: list[CriticalPointReport], best: CriticalPointReport) -> str:
-    interior_best = max((r.value for r in reports), default=math.nan)
-    violations = sum(1 for r in reports if r.value > ONE_27 + 1e-9)
-    return f"{k},{cfg.starts},{best.value!r},{interior_best!r},{violations}"

@@ -14,11 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
 from typing import Mapping, Sequence
 
-from .lyapunov import ALPHA
+from .lyapunov import ALPHA, alternating_tuples
 
 Monomial = tuple[int, ...]
 
@@ -186,24 +184,6 @@ def _require_odd_k(k: int, minimum: int = 3) -> None:
         raise ValueError(f"K must be odd and >= {minimum}")
 
 
-@lru_cache(maxsize=None)
-def alternating_tuples(k: int, length: int) -> tuple[tuple[int, ...], ...]:
-    """Ascending index tuples in 0..k-1 with every consecutive difference odd."""
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...]):
-        if len(prefix) == length:
-            out.append(prefix)
-            return
-        for nxt in range(prefix[-1] + 1, k):
-            if (nxt - prefix[-1]) % 2 == 1:
-                extend(prefix + (nxt,))
-
-    for start in range(k):
-        extend((start,))
-    return tuple(out)
-
-
 def build_alternating(k: int, length: int) -> SparsePolynomial:
     terms = {mono: Fraction(1) for mono in alternating_tuples(k, length)}
     return SparsePolynomial(k, terms)
@@ -292,10 +272,9 @@ def check_rotation_sum_identity(k: int) -> IdentityCheck:
     """Rotations of the even/odd/even triple sum collapse to (K-3)/2 f3."""
     _require_odd_k(k, minimum=5)
     base = SparsePolynomial.zero(k)
-    for i0 in range(2, k, 2):
-        for i1 in range(i0 + 1, k, 2):
-            for i2 in range(i1 + 1, k, 2):
-                base = base + SparsePolynomial.monomial((i0, i1, i2), k)
+    for chain in alternating_tuples(k, 3):
+        if chain[0] >= 2 and chain[0] % 2 == 0:
+            base = base + SparsePolynomial.monomial(chain, k)
     lhs = sum_rotations(base)
     rhs = Fraction(k - 3, 2) * build_f3(k)
     return _compare("rotation_sum", k, lhs, rhs)
@@ -314,13 +293,9 @@ def check_fancy_sum(k: int, l: int) -> IdentityCheck:
     if not 3 <= l <= k:
         raise ValueError("l must satisfy 3 <= l <= K")
     lhs = SparsePolynomial.zero(k)
-    for i1 in range(1, k - 2, 2):
-        weight = Fraction(k - i1 - 2, 2)
-        for rest in combinations(range(i1 + 1, k), l - 2):
-            # chain parities: index j of the chain must have parity j mod 2
-            if any(rest[j - 2] % 2 != j % 2 for j in range(2, l)):
-                continue
-            base = SparsePolynomial.monomial((0, i1) + rest, k, weight)
+    for chain in alternating_tuples(k, l):
+        if chain[0] == 0 and chain[1] < k - 2:
+            base = SparsePolynomial.monomial(chain, k, Fraction(k - chain[1] - 2, 2))
             lhs = lhs + sum_rotations(base)
     rhs = (Fraction(l - 1, 2) * k - l) * build_alternating(k, l)
     return _compare("fancy_sum", k, lhs, rhs, l=l)
@@ -354,10 +329,9 @@ def check_c_rotation_sum(k: int) -> IdentityCheck:
     cubic = SparsePolynomial.zero(k)
     for i2 in range(2, k, 2):
         linear = linear + SparsePolynomial.variable(i2, k)
-    for i2 in range(2, k, 2):
-        for i3 in range(i2 + 1, k, 2):
-            for i4 in range(i3 + 1, k, 2):
-                cubic = cubic + SparsePolynomial.monomial((i2, i3, i4), k)
+    for chain in alternating_tuples(k, 3):
+        if chain[0] >= 2 and chain[0] % 2 == 0:
+            cubic = cubic + SparsePolynomial.monomial(chain, k)
     all_vars = SparsePolynomial.zero(k)
     for i in range(k):
         all_vars = all_vars + SparsePolynomial.variable(i, k)

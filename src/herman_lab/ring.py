@@ -117,13 +117,14 @@ def config_from_gaps(g: GapVector) -> Configuration:
     return Configuration(g.ring_size, tuple(pos))
 
 
+def least_rotation(gaps: tuple[int, ...]) -> tuple[int, ...]:
+    """Lexicographically minimal cyclic rotation of a gap tuple."""
+    return min((gaps[i:] + gaps[:i] for i in range(len(gaps))), default=gaps)
+
+
 def canonical_rotation(g: GapVector) -> GapVector:
     """Lexicographically minimal cyclic rotation of the gaps."""
-    gaps = g.gaps
-    if len(gaps) <= 1:
-        return g
-    best = min(gaps[i:] + gaps[:i] for i in range(len(gaps)))
-    return GapVector(g.ring_size, best)
+    return GapVector(g.ring_size, least_rotation(g.gaps))
 
 
 def apply_step(config: Configuration, mask: MoveMask) -> Configuration:

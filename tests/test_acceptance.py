@@ -8,12 +8,15 @@ tolerance; numeric criteria pin the tolerances stated with them.
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import random_gaps
 from herman_lab import montecarlo, optimize, polynomials
 from herman_lab.lyapunov import f, f3
 from herman_lab.markov import (
     delta_moment,
     expected_time_exact,
+    max_expected_time,
     moment_formula,
     solve_all_exact,
     theorem1_bound,
@@ -69,6 +72,21 @@ def test_theorem1_sweep():
         else:
             assert worst < bound
     _announce("Theorem 1 sweep", "N in 3..12, equality exactly at N = 3,6,9,12")
+
+
+@pytest.mark.parametrize(
+    "n, argmax, value",
+    [(15, (5, 5, 5), Fraction(100, 3)), (16, (5, 5, 6), Fraction(75, 2))],
+)
+def test_theorem1_beyond_default_capacity(n, argmax, value):
+    """Ring sizes past the default exact capacity, solved with it raised to N."""
+    worst, best = max_expected_time(n, max_ring=n)
+    assert worst.gaps == argmax and best == value
+    if n % 3 == 0:
+        assert best == theorem1_bound(n)
+    else:
+        assert best < theorem1_bound(n)
+    _announce("Theorem 1 sweep", f"N={n}, argmax {argmax}, E[T] = {value} vs bound {theorem1_bound(n)}")
 
 
 def test_drift_suite():

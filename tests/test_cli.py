@@ -348,3 +348,50 @@ def test_simulate_rejects_threads_below_one(source, threads, tmp_path, capsys, m
     assert code == 2
     assert out == ""
     assert "threads" in err
+
+
+def test_config_file_non_integer_names_file_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# run settings\nseed=abc\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10", "--config-file", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {cfg}:2: seed must be an integer, got 'abc'\n"
+
+
+def test_threads_env_non_integer_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("HERMAN_LAB_THREADS", "x")
+    code, out, err = run_cli(capsys, "simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10")
+    assert code == 2
+    assert out == ""
+    assert err == "error: HERMAN_LAB_THREADS must be an integer, got 'x'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10"),
+        ("verify", "drift", "--samples", "1", "--n", "6"),
+        ("optimize", "--target", "f", "--k", "5", "--starts", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("seed", ["-5", "-1", str(2**64), "36893488147419103227"])
+@pytest.mark.parametrize("source", ["flag", "config_file"])
+def test_seed_outside_64_bits_is_exit_two(argv, seed, source, tmp_path, capsys):
+    if source == "flag":
+        argv += ("--seed", seed)
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed={seed}\n")
+        argv += ("--config-file", str(cfg))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: seed must lie in 0..2^64-1, got {seed}\n"
+
+
+def test_seed_at_64_bit_limit_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10", "--seed", str(2**64 - 1))
+    assert code == 0
+    assert json.loads(out)["seed"] == 2**64 - 1

@@ -7,6 +7,13 @@ the exact solve moved to integer blocks with p-adic lifting.  Any change
 to a state, a rational, the row order or the verdict line changes a
 digest.  The float sweep's digest was recorded with one BLAS thread,
 since its last digits depend on the BLAS thread count.
+
+golden/cli_corpus_sha256.json holds the stdout sha256 of a fixed set of
+commands that cover the drift, moment, identity, KKT and coupling
+suites, the optimizer, one exact state and one simulation together with
+its histogram file; `simulate` writes the histogram to a temporary path,
+so the path is not part of the recorded argv.  They were recorded before
+every alternating index chain moved onto `lyapunov.alternating_tuples`.
 """
 
 import hashlib
@@ -20,7 +27,9 @@ import pytest
 
 from herman_lab.cli import main
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "exact_sweep_sha256.json").read_text())
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "exact_sweep_sha256.json").read_text())
+CORPUS = json.loads((GOLDEN_DIR / "cli_corpus_sha256.json").read_text())
 FLOAT_SWEEP_12_SHA256 = "f886d9302fa59b14b51f1f8adea85455639999494e70cad33019098b896afa84"
 
 
@@ -31,11 +40,27 @@ def test_exact_sweep_stdout_is_golden(n, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[n]
 
 
-def test_float_sweep_stdout_is_golden():
+def _run_cli(argv: list[str]) -> bytes:
+    """stdout of `python -m herman_lab argv` with one BLAS thread; asserts exit 0."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    argv = ["exact", "--float", "--sweep", "12", "--exact-capacity-n", "11"]
     proc = subprocess.run([sys.executable, "-m", "herman_lab", *argv], env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert hashlib.sha256(proc.stdout).hexdigest() == FLOAT_SWEEP_12_SHA256
+    return proc.stdout
+
+
+def test_float_sweep_stdout_is_golden():
+    stdout = _run_cli(["exact", "--float", "--sweep", "12", "--exact-capacity-n", "11"])
+    assert hashlib.sha256(stdout).hexdigest() == FLOAT_SWEEP_12_SHA256
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=lambda case: " ".join(case["argv"][:2]))
+def test_cli_corpus_is_golden(case, tmp_path):
+    argv = list(case["argv"])
+    histogram = tmp_path / "hist.csv"
+    if "histogram" in case:
+        argv += ["--histogram", str(histogram)]
+    assert hashlib.sha256(_run_cli(argv)).hexdigest() == case["stdout"]
+    if "histogram" in case:
+        assert hashlib.sha256(histogram.read_bytes()).hexdigest() == case["histogram"]

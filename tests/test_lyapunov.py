@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +10,7 @@ from herman_lab.lyapunov import (
     V,
     V3,
     V5,
+    alternating_tuples,
     c_value,
     check_simplex,
     derivative_terms,
@@ -62,6 +64,13 @@ def test_simplex_tolerance_rejects_off_simplex():
     check_simplex((0.3, 0.3, 0.4 + 1e-13))
 
 
+@pytest.mark.parametrize("length", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", range(12))
+def test_alternating_tuples_match_brute_force(k, length):
+    brute = [t for t in combinations(range(k), length) if all((b - a) % 2 == 1 for a, b in zip(t, t[1:]))]
+    assert list(alternating_tuples(k, length)) == brute
+
+
 def test_f5_zero_for_k3():
     assert f5(uniform(3)) == 0
     assert f5((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))) == 0
@@ -73,9 +82,7 @@ def test_f5_uniform_k5():
 
 def test_f5_uniform_k7_counts_seven_monomials():
     # derived: each monomial contributes (1/7)^5 and there are exactly 7
-    from herman_lab.lyapunov import f5_index_quintuples
-
-    assert len(f5_index_quintuples(7)) == 7
+    assert len(alternating_tuples(7, 5)) == 7
     assert f5(uniform(7)) == Fraction(7, 7**5) == Fraction(1, 2401)
 
 

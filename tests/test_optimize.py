@@ -93,13 +93,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(starts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(tol_grad=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(step_rule="newton")
-
-
-def test_fixed_step_rule_still_finds_uniform_max():
-    report = maximize("f3", 5, OptimizerConfig(starts=5, seed=1, step_rule="fixed", step_size=0.2))
-    assert abs(report.value - f3_closed_form(5)) <= 1e-6
 
 
 # --- kkt reports ------------------------------------------------------------------
@@ -230,11 +223,3 @@ def test_fd_rejects_small_k():
     with pytest.raises(ValueError):
         gradient_fd_validation(3, 10)
 
-
-def test_scan_summary_csv_shape():
-    cfg = OptimizerConfig(starts=5, seed=0)
-    reports = interior_max_scan(5, cfg)
-    best = maximize("f", 5, cfg)
-    line = opt.scan_summary_csv(5, cfg, reports, best)
-    assert line.startswith("5,5,")
-    assert len(line.split(",")) == 5
