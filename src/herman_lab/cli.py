@@ -1,8 +1,9 @@
 """Command-line interface: simulate, exact, verify, optimize.
 
 Exit codes: 0 all checks passed, 1 a verification failed (or a step cap
-was breached), 2 usage or configuration error.  All regular output is
-JSON lines or CSV; everything is reproducible from the flags alone.
+was breached, or the reader closed stdout early), 2 usage or configuration
+error.  All regular output is JSON lines or CSV; everything is
+reproducible from the flags alone.
 """
 
 from __future__ import annotations
@@ -109,16 +110,12 @@ def _frac_str(value: Fraction) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config_file, args)
-    try:
-        config = parse_configuration(args.config)
-        runs = args.runs if args.runs is not None else cfg.mc_runs
-        if runs < 1:
-            raise ValueError("--runs must be >= 1")
-        if config.token_count % 2 == 0:
-            raise ValueError("simulation requires an odd token count (odd K)")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = parse_configuration(args.config)
+    runs = args.runs if args.runs is not None else cfg.mc_runs
+    if runs < 1:
+        raise ValueError("--runs must be >= 1")
+    if config.token_count % 2 == 0:
+        raise ValueError("simulation requires an odd token count (odd K)")
     try:
         steps = montecarlo.run_steps(config, runs, cfg.seed, threads=cfg.threads)
     except montecarlo.StepLimitError as exc:
@@ -127,8 +124,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         histogram = open(args.histogram, "w") if args.histogram else contextlib.nullcontext()
     except OSError as exc:
-        print(f"error: cannot write the histogram: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot write the histogram: {exc}") from None
     with histogram as handle:
         _print_record(montecarlo.summarize(steps, cfg.seed).to_record(), cfg.output_format)
         if handle is not None:
@@ -140,42 +136,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_exact(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config_file, args)
     if (args.config is None) == (args.sweep is None):
-        print("error: provide exactly one of --config or --sweep", file=sys.stderr)
-        return 2
+        raise ValueError("provide exactly one of --config or --sweep")
     if args.config is not None:
+        g = parse_gap_vector(args.config)
+        if g.token_count % 2 == 0:
+            raise ValueError("expected time requires an odd token count (odd K)")
         try:
-            g = parse_gap_vector(args.config)
-            if g.token_count % 2 == 0:
-                raise ValueError("expected time requires an odd token count (odd K)")
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            et = markov.expected_time_exact(g, max_ring=cfg.exact_capacity_n)
-            print(_frac_str(et))
-            return 0
-        except markov.CapacityError as exc:
+            print(_frac_str(markov.expected_time_exact(g, max_ring=cfg.exact_capacity_n)))
+        except markov.CapacityError:
             if not args.use_float:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        try:
+                raise
             print(repr(markov.expected_time_float(g, max_ring=cfg.float_capacity_n)))
-            return 0
-        except markov.CapacityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        return 0
     n = args.sweep
     try:
         rows = markov.sweep_rows(n, max_ring=cfg.exact_capacity_n)
-    except markov.CapacityError as exc:
+    except markov.CapacityError:
         if not args.use_float:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            return _float_sweep(n, cfg)
-        except markov.CapacityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise
+        return _float_sweep(n, cfg)
     print(markov.SWEEP_CSV_HEADER)
     for row in rows:
         print(markov.sweep_csv_line(row))
@@ -364,11 +343,7 @@ def _verify_coupling(args, cfg: RunConfig, emit) -> tuple[int, int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_run_config(args.config_file, args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_run_config(args.config_file, args)
     emit = lambda record: print(json.dumps(record))
     suites = {
         "drift": lambda: _verify_drift(args, cfg, emit),
@@ -457,13 +432,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here rather than at exit
+        return code
+    except (ValueError, markov.CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone: stop quietly, and let the flush at exit write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

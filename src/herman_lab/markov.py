@@ -10,7 +10,9 @@ K-vectors, so they step in gap space instead: the increments are +-1/0
 per gap, and a gap hitting zero removes the colliding token pair and
 merges its neighboring gaps.  Expected stabilization times are solved
 exactly over the reachable state space, ordered by token count so each
-linear block only references already-solved smaller blocks.
+linear block only references already-solved smaller blocks; the blocks
+come from one CSR table over a successor-closed state list
+(`_successor_table`), built a token count at a time in numpy.
 
 Multiplied by 2^K and by the lcm of the denominators it refers to, a
 block is an integer system: 2^K I minus the mask counts, with an integer
@@ -27,11 +29,10 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import groupby, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ from .ring import OCCUPANCY_BITS, GapVector, least_rotation, necklace_key, step_
 EXACT_RING_LIMIT = 14
 FLOAT_RING_LIMIT = 20
 FLOAT_RESIDUAL_TOL = 1e-9
+TABLE_PASS_WORDS = 1 << 18  # words a pass of `_successor_keys` steps (one state if its 2^K is more)
 
 
 class CapacityError(RuntimeError):
@@ -146,7 +148,7 @@ def _check_word(n: int) -> None:
         raise CapacityError(f"ring size {n} exceeds the {OCCUPANCY_BITS}-process occupancy word")
 
 
-@lru_cache(maxsize=65536)  # one entry per successor state, as for _successor_counts
+@lru_cache(maxsize=65536)  # one entry per successor state of the rings in use
 def _necklace_gaps(n: int, key: int) -> tuple[int, ...]:
     """Canonical gap vector of a successor key from `_successor_counts`.
 
@@ -160,46 +162,44 @@ def _necklace_gaps(n: int, key: int) -> tuple[int, ...]:
     return tuple(a - b for a, b in zip(tokens, tokens[1:])) + (tokens[-1] + n - tokens[0],)
 
 
-@lru_cache(maxsize=65536)
+def _token_bits(n: int, gaps: np.ndarray) -> np.ndarray:
+    """Token i of each row of an (m, K) gap array sits on bit n-1-p_i, p_i where gap i ends."""
+    _check_word(n)
+    return np.left_shift(np.uint64(1), (n - 1 - np.cumsum(gaps, axis=1) % n).astype(np.uint64))
+
+
+def _successor_keys(n: int, tokens: np.ndarray) -> Iterator[np.ndarray]:
+    """Necklace keys of the complements of each row's 2^K successors (column m: move mask m), by passes."""
+    per_pass = max(1, TABLE_PASS_WORDS >> tokens.shape[1])
+    for chunk in np.split(tokens, range(per_pass, len(tokens), per_pass)):
+        moving = np.zeros((len(chunk), 1), dtype=np.uint64)
+        for bit in chunk.T:
+            moving = np.concatenate((moving, moving | bit[:, None]), axis=1)
+        occ = np.bitwise_or.reduce(chunk, axis=1, keepdims=True)
+        yield necklace_key(step_occupancy(occ, moving, n) ^ np.uint64((1 << n) - 1), n)
+
+
 def _successor_counts(n: int, gaps: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Canonical successor states with mask counts (probability = count / 2^K).
 
-    Bit i of a move mask moves token i.  The moving sets of all 2^K masks
-    are built at once and stepped together by `step_occupancy`.  Token i
-    sits on bit n-1-p_i, p_i being where gap i ends, so the ring is
-    mirrored and the step moves the tokens counterclockwise.  The gap law
-    does not change: moving the complementary tokens clockwise and
-    turning the ring back one process gives the same successor, and the
-    necklace key does not see the turn.  Keying the complement of each
-    successor makes the least key spell the canonical gaps (see
-    `_necklace_gaps`) and makes keys with one token count sort as their
-    gap vectors do, so the result comes out in (K, gaps) order.
+    Bit i of a move mask moves token i.  The ring is mirrored, which keeps
+    the gap law: moving the complementary tokens clockwise and turning the
+    ring back one process, unseen by the necklace key, gives the same
+    successor.  Keyed by its complement, a successor's least key spells its
+    canonical gaps (`_necklace_gaps`), and keys of one token count sort as
+    their gaps do, so the result comes out in (K, gaps) order.
     """
-    _check_word(n)
-    occ = 0
-    moving = np.zeros(1, dtype=np.uint64)
-    end = 0
-    for gap in gaps:
-        end += gap
-        bit = n - 1 - end % n
-        occ |= 1 << bit
-        moving = np.concatenate((moving, moving | (1 << bit)))
-    empty = step_occupancy(occ, moving, n) ^ ((1 << n) - 1)
-    keys, counts = np.unique(necklace_key(empty, n), return_counts=True)
+    (succ,) = _successor_keys(n, _token_bits(n, np.array([gaps], dtype=np.int64)))
+    keys, counts = np.unique(succ, return_counts=True)
     order = np.lexsort((keys, n - np.bitwise_count(keys)))
     return tuple(zip(map(_necklace_gaps, repeat(n), keys[order].tolist()), counts[order].tolist()))
 
 
 def successor_distribution(g: GapVector) -> TransitionLaw:
-    gaps = g.gaps
-    if not gaps:
+    if not g.gaps:
         raise ValueError("empty gap vector has no dynamics")
-    denom = 1 << len(gaps)
-    outcomes = tuple(
-        (GapVector(g.ring_size, succ) if succ else GapVector(g.ring_size, ()), Fraction(c, denom))
-        for succ, c in _successor_counts(g.ring_size, gaps)
-    )
-    return TransitionLaw(g, outcomes)
+    pairs = _successor_counts(g.ring_size, g.gaps)
+    return TransitionLaw(g, tuple((GapVector(g.ring_size, s), Fraction(c, 1 << len(g.gaps))) for s, c in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -435,75 +435,99 @@ _ET_CACHE: dict[tuple[int, tuple[int, ...]], Fraction] = {}
 
 
 def _reachable_states(n: int, seed: tuple[int, ...]) -> list[tuple[int, ...]]:
-    seen = {seed}
-    stack = [seed]
-    while stack:
-        state = stack.pop()
-        for succ, _count in _successor_counts(n, state):
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
+    """The canonical states reachable from `seed`, in (K, gaps) order, a frontier at a time."""
+    seen, frontier = {seed}, [seed]
+    while frontier:
+        keys: set[int] = set()
+        for _k, group in groupby(sorted(frontier, key=len), len):
+            for succ in _successor_keys(n, _token_bits(n, np.array(list(group), dtype=np.int64))):
+                keys.update(np.unique(succ).tolist())
+        frontier = [s for s in map(_necklace_gaps, repeat(n), keys) if s not in seen]
+        seen.update(frontier)
     return sorted(seen, key=lambda s: (len(s), s))
+
+
+def _successor_table(n: int, states: list[tuple[int, ...]], min_k: int = 0) -> tuple[np.ndarray, ...]:
+    """CSR successor rows (indptr, int32 state indices, int32 mask counts) of canonical states.
+
+    The list must be in (K, gaps) order, which puts each row in
+    `_successor_counts` order, and closed under successors (ValueError if
+    not).  Rows of fewer than `min_k` tokens are left empty.  A canonical
+    state's key is the complement of its word: successors are binary-searched.
+    """
+    size = len(states)
+    groups = [_token_bits(n, np.array(list(group), dtype=np.int64)) for _k, group in groupby(states, len)]
+    keys = np.concatenate([np.bitwise_or.reduce(tokens, axis=1) for tokens in groups]) ^ np.uint64((1 << n) - 1)
+    by_key = np.argsort(keys)
+    lengths, cols, counts = [np.zeros(1, dtype=np.int64)], [], []
+    for tokens in groups:
+        if tokens.shape[1] < min_k:
+            lengths.append(np.zeros(len(tokens), dtype=np.int64))
+            continue
+        for succ in _successor_keys(n, tokens):
+            where = by_key[np.minimum(np.searchsorted(keys, succ, sorter=by_key), size - 1)]
+            if not np.array_equal(keys[where], succ):
+                raise ValueError("the state list is not closed under successors")
+            pairs, pair_counts = np.unique(np.arange(len(succ))[:, None] * size + where, return_counts=True)
+            lengths.append(np.bincount(pairs // size, minlength=len(succ)))
+            cols.append((pairs % size).astype(np.int32))
+            counts.append(pair_counts.astype(np.int32))
+    return np.cumsum(np.concatenate(lengths)), np.concatenate(cols), np.concatenate(counts)
 
 
 class _Block(NamedTuple):
     """One token count's hitting-time system, multiplied through by 2^K.
 
-    `matrix` is 2^K I - C, C[i, j] the mask count from state i to state j
-    of the block.  `exits[i]` holds the successors of state i with fewer
-    tokens and their mask counts, in `_successor_counts` order; their
-    values are already solved and go to the right-hand side.
-
-    A block holds every same-K successor of its states, even when some
-    states were solved earlier: a K-token state reaches every other one
-    without a collision (one token's move passes a unit of gap backwards,
-    the move of all the others passes it forwards), so a solved state's
-    reachable set takes in its whole token count.
+    Its states are `first`, `first + 1`, ... of a successor-closed list in
+    (K, gaps) order, so it holds every same-K successor.  `matrix` is 2^K I - C,
+    C the mask counts of its CSR rows.  The other entries, the exits to
+    fewer tokens, are `exits` (block rows, state indices, mask counts) in
+    table order: each row's exits in `_successor_counts` order, row by row.
     """
 
     k: int
-    states: list[tuple[int, ...]]
+    first: int
     matrix: np.ndarray
-    exits: list[tuple[tuple[tuple[int, ...], int], ...]]
+    exits: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _blocks(n: int, states: Iterable[tuple[int, ...]]) -> Iterator[_Block]:
-    """The blocks of the states with K >= 2, ascending in K."""
-    by_k: dict[int, list[tuple[int, ...]]] = {}
-    for s in states:
-        if len(s) >= 2:
-            by_k.setdefault(len(s), []).append(s)
-    for k in sorted(by_k):
-        block = sorted(by_k[k])
-        index = {s: i for i, s in enumerate(block)}
-        matrix = np.diag(np.full(len(block), 1 << k, dtype=np.int64))
-        exits = []
-        for i, s in enumerate(block):
-            pairs = _successor_counts(n, s)  # in (K, gaps) order: the exits come first
-            split = bisect_left(pairs, k, key=lambda pair: len(pair[0]))
-            exits.append(pairs[:split])
-            cols = [index[succ] for succ, _count in pairs[split:]]
-            matrix[i, cols] -= np.array([count for _succ, count in pairs[split:]], dtype=np.int64)
-        yield _Block(k, block, matrix, exits)
+def _blocks(states: list[tuple[int, ...]], indptr, table_cols, table_counts) -> Iterator[_Block]:
+    """The blocks of the token counts K >= 2 that have rows in the `_successor_table`, ascending in K."""
+    first = 0
+    for k, group in groupby(states, len):
+        stop = first + sum(1 for _ in group)
+        if k >= 2 and indptr[stop] > indptr[first]:
+            rows = np.repeat(np.arange(stop - first), np.diff(indptr[first : stop + 1]))
+            cols, counts = table_cols[indptr[first] : indptr[stop]], table_counts[indptr[first] : indptr[stop]]
+            inside = cols >= first
+            matrix = np.diag(np.full(stop - first, 1 << k, dtype=np.int64))
+            matrix[rows[inside], cols[inside] - first] -= counts[inside]
+            yield _Block(k, first, matrix, (rows[~inside], cols[~inside], counts[~inside]))
+        first = stop
 
 
 def _solve_states(n: int, states: list[tuple[int, ...]]) -> None:
-    """Exactly solve E[T] for every state, ascending in token count.
+    """Exactly solve E[T] for every state, from the least unsolved token count up.
 
-    With L the lcm of the denominators of the solved values a block
-    refers to, the block times L is an integer system A (L E) = b.
+    With L the lcm of the denominators of the solved values a block refers
+    to, the block times L is an integer system A (L E) = b.
     """
-    pending = [s for s in states if (n, s) not in _ET_CACHE]
-    for s in pending:
-        if len(s) <= 1:
-            _ET_CACHE[(n, s)] = Fraction(0)
-    for block in _blocks(n, pending):
-        known = {succ: _ET_CACHE[(n, succ)] for out in block.exits for succ, _count in out}
-        lcm = math.lcm(*(v.denominator for v in known.values()))
-        scaled = {s: v.numerator * (lcm // v.denominator) for s, v in known.items()}
-        rhs = [(lcm << block.k) + sum(count * scaled[succ] for succ, count in out) for out in block.exits]
-        for s, value in zip(block.states, _solve_integer(block.matrix, rhs)):
-            _ET_CACHE[(n, s)] = value / lcm
+    _ET_CACHE.update(((n, s), Fraction(0)) for s in states if len(s) <= 1)
+    values = [_ET_CACHE.get((n, s)) for s in states]
+    pending = [len(s) for s, value in zip(states, values) if value is None]
+    if not pending:
+        return
+    for block in _blocks(states, *_successor_table(n, states, min(pending))):
+        referred = np.unique(block.exits[1]).tolist()
+        lcm = math.lcm(*(values[j].denominator for j in referred))
+        scaled = np.zeros(block.first, dtype=object)
+        scaled[referred] = [values[j].numerator * (lcm // values[j].denominator) for j in referred]
+        rhs = np.full(len(block.matrix), lcm << block.k, dtype=object)
+        # one block length of exits at a time, so few big-int products are alive at once
+        for rows, cols, counts in zip(*(np.split(a, range(len(rhs), len(a), len(rhs))) for a in block.exits)):
+            np.add.at(rhs, rows, counts.astype(object) * scaled[cols])
+        for i, value in enumerate(_solve_integer(block.matrix, rhs.tolist()), block.first):
+            values[i] = _ET_CACHE[(n, states[i])] = value / lcm
 
 
 def _check_capacity(n: int, max_ring: int | None, default: int) -> None:
@@ -528,24 +552,20 @@ def expected_time_exact(g: GapVector, *, max_ring: int | None = None) -> Fractio
 
 
 def _solve_states_float(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int, ...], float]:
-    values = {s: 0.0 for s in states if len(s) <= 1}
-    for block in _blocks(n, states):
+    values = np.zeros(len(states))
+    for block in _blocks(states, *_successor_table(n, states)):
         denom = float(1 << block.k)
         a = block.matrix.view(np.float64)  # in place: the integer block is not needed again
         np.divide(block.matrix, denom, out=a)  # dyadic, so equal to I - C / 2^K bit for bit
-        b = np.empty(len(block.states))
-        for i, out in enumerate(block.exits):
-            total = 1.0
-            for succ, count in out:
-                total += count / denom * values[succ]
-            b[i] = total
+        rows, cols, counts = block.exits
+        b = np.ones(len(a))
+        np.add.at(b, rows, counts / denom * values[cols])  # unbuffered: each row's terms in turn, as a left fold
         x = np.linalg.solve(a, b)
         residual = float(np.max(np.abs(a @ x - b)))
         if residual > FLOAT_RESIDUAL_TOL:
             raise RuntimeError(f"float solve residual {residual:.3e} exceeds {FLOAT_RESIDUAL_TOL}")
-        for s, value in zip(block.states, x):
-            values[s] = float(value)
-    return values
+        values[block.first : block.first + len(x)] = x
+    return dict(zip(states, values.tolist()))
 
 
 def expected_time_float(g: GapVector, *, max_ring: int | None = None) -> float:

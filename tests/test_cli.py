@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -395,3 +399,30 @@ def test_seed_at_64_bit_limit_is_accepted(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10", "--seed", str(2**64 - 1))
     assert code == 0
     assert json.loads(out)["seed"] == 2**64 - 1
+
+
+def _cli_process(argv, stdout):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.Popen([sys.executable, "-m", "herman_lab", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_reader_closing_the_pipe_after_one_line_ends_quietly():
+    # about 190 kB of output, more than a pipe holds: the sweep is still writing when the pipe closes
+    proc = _cli_process(["exact", "--sweep", "15", "--exact-capacity-n", "15"], subprocess.PIPE)
+    assert proc.stdout.readline() == b"N,K,gaps,expected_time,bound,pass\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def test_pipe_closed_before_the_first_write_ends_quietly():
+    # this output fits in one buffer, so its only write is the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _cli_process(["verify", "moments", "--max-k", "6"], write_end)
+    os.close(write_end)
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err

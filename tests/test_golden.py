@@ -14,6 +14,11 @@ suites, the optimizer, one exact state and one simulation together with
 its histogram file; `simulate` writes the histogram to a temporary path,
 so the path is not part of the recorded argv.  They were recorded before
 every alternating index chain moved onto `lyapunov.alternating_tuples`.
+Two sweeps joined them before the hitting-time solve moved onto one CSR
+successor table: `exact --float --sweep 14 --exact-capacity-n 13`, whose
+last digits pin the order in which each row's exit terms are summed, and
+`exact --sweep 15 --exact-capacity-n 15`, a sweep past the default
+capacity.
 """
 
 import hashlib

@@ -139,6 +139,54 @@ def test_successor_kernel_at_word_size():
         successor_distribution(GapVector(65, (21, 21, 23)))
 
 
+def table_rows(n, states, table):
+    """Each CSR row of `_successor_table` as `_successor_counts` spells it."""
+    indptr, cols, counts = table
+    return [
+        tuple((states[j], c) for j, c in zip(cols[a:b].tolist(), counts[a:b].tolist()))
+        for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())
+    ]
+
+
+def test_successor_table_matches_successor_counts_on_every_state():
+    for n in range(3, 15):
+        states = enumerate_states(n)
+        table = markov._successor_table(n, states)
+        assert table[1].dtype == table[2].dtype == np.int32
+        assert table_rows(n, states, table) == [markov._successor_counts(n, s) for s in states], n
+
+
+def test_successor_table_is_the_same_when_a_token_count_spans_passes(monkeypatch):
+    states = enumerate_states(13)
+    whole = markov._successor_table(13, states)
+    monkeypatch.setattr(markov, "TABLE_PASS_WORDS", 1 << 7)  # 4 states of K = 5 per pass, 1 of K = 7 up
+    split = markov._successor_table(13, states)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, split))
+
+
+def test_successor_table_leaves_rows_below_min_k_empty():
+    states = enumerate_states(11)
+    whole = table_rows(11, states, markov._successor_table(11, states))
+    upper = table_rows(11, states, markov._successor_table(11, states, 5))
+    assert upper == [() if len(s) < 5 else row for s, row in zip(states, whole)]
+
+
+def test_successor_table_at_word_size():
+    states = markov._reachable_states(64, (21, 21, 22))
+    table = markov._successor_table(64, states)
+    assert table_rows(64, states, table) == [markov._successor_counts(64, s) for s in states]
+
+
+def test_successor_table_rejects_a_list_not_closed_under_successors():
+    # (9,) has the largest key, so its successor keys would search past the end;
+    # every other state is reached from the rest of its token count
+    for missing in ((9,), (1, 1, 7), (1, 1, 2, 2, 3)):
+        states = enumerate_states(9)
+        states.remove(missing)
+        with pytest.raises(ValueError, match="not closed"):
+            markov._successor_table(9, states)
+
+
 # --- exact expected times ------------------------------------------------------
 
 def test_absorbed_state_time_zero():
@@ -378,8 +426,10 @@ def test_sweep_rows_schema():
         "bound_den",
         "pass",
     }
+    assert all(row.n == 6 and sum(row.gaps) == 6 and row.bound == theorem1_bound(6) for row in rows)
     line = markov.sweep_csv_line(rows[0])
     assert line.startswith("6,1,")
+    assert line.count(",") == markov.SWEEP_CSV_HEADER.count(",")
 
 
 def test_enumerate_states_counts_by_brute_force():
@@ -547,6 +597,50 @@ def _is_closed(n, states):
     """Closure under transitions, including the absorbing one-token class."""
     members = set(states)
     return all(succ in members for s in states for succ, _count in markov._successor_counts(n, s))
+
+
+def test_reachable_states_match_a_search_over_successor_counts(monkeypatch):
+    for n, seed in ((7, (1, 2, 4)), (9, (1, 1, 1, 1, 5)), (12, (1, 1, 1, 2, 2, 2, 3)), (13, (1,) * 11 + (2,))):
+        seen, stack = {seed}, [seed]
+        while stack:
+            for succ, _count in markov._successor_counts(n, stack.pop()):
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+        expected = sorted(seen, key=lambda s: (len(s), s))
+        assert markov._reachable_states(n, seed) == expected, n
+        monkeypatch.setattr(markov, "TABLE_PASS_WORDS", 1 << 4)  # one state of K >= 4 per pass
+        assert markov._reachable_states(n, seed) == expected, n
+        monkeypatch.undo()
+
+
+def test_warm_solve_steps_no_state(monkeypatch):
+    monkeypatch.setattr(markov, "_ET_CACHE", {})
+    expected = markov.solve_all_exact(11)
+
+    def no_step(n, tokens):
+        raise AssertionError("a solved state was stepped")
+
+    monkeypatch.setattr(markov, "_successor_keys", no_step)
+    assert markov.solve_all_exact(11) == expected
+    assert markov.expected_time_exact(GapVector(11, (1, 1, 9)), max_ring=11) == expected[(1, 1, 9)]
+
+
+def test_partly_solved_states_step_only_the_unsolved_token_counts(monkeypatch):
+    monkeypatch.setattr(markov, "_ET_CACHE", {})
+    expected = markov.solve_all_exact(11)
+    monkeypatch.setattr(markov, "_ET_CACHE", {})
+    markov.expected_time_exact(GapVector(11, (1, 1, 1, 1, 7)), max_ring=11)  # solves K <= 5
+    stepped = []
+    keys = markov._successor_keys
+
+    def spy(n, tokens):
+        stepped.append(tokens.shape[1])
+        return keys(n, tokens)
+
+    monkeypatch.setattr(markov, "_successor_keys", spy)
+    assert markov.solve_all_exact(11) == expected
+    assert stepped and min(stepped) == 7
 
 
 def test_state_space_reachable_and_closed():
