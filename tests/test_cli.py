@@ -326,6 +326,15 @@ def test_exact_float_sweep_over_capacity_is_exit_two(capsys):
     assert "capacity" in err
 
 
+@pytest.mark.parametrize("float_flags", [(), ("--float", "--exact-capacity-n", "-4")])
+@pytest.mark.parametrize("n", ["-3", "0", "1", "2"])
+def test_exact_sweep_below_three_is_exit_two(n, float_flags, capsys):
+    code, out, err = run_cli(capsys, "exact", "--sweep", n, *float_flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: ring size must be at least 3, got {n}\n"
+
+
 def test_simulate_bad_histogram_path_fails_before_output(tmp_path, capsys):
     path = tmp_path / "missing" / "hist.csv"
     code, out, err = run_cli(

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -164,13 +164,6 @@ def test_successor_table_is_the_same_when_a_token_count_spans_passes(monkeypatch
     assert all(np.array_equal(a, b) for a, b in zip(whole, split))
 
 
-def test_successor_table_leaves_rows_below_min_k_empty():
-    states = enumerate_states(11)
-    whole = table_rows(11, states, markov._successor_table(11, states))
-    upper = table_rows(11, states, markov._successor_table(11, states, 5))
-    assert upper == [() if len(s) < 5 else row for s, row in zip(states, whole)]
-
-
 def test_successor_table_at_word_size():
     states = markov._reachable_states(64, (21, 21, 22))
     table = markov._successor_table(64, states)
@@ -256,6 +249,17 @@ def test_raised_capacity_stops_at_the_occupancy_word():
         expected_time_float(g, max_ring=65)
     with pytest.raises(CapacityError, match="occupancy word"):
         markov.solve_all_exact(65, max_ring=100)
+
+
+@pytest.mark.parametrize("n", [-3, 0, 1, 2])
+@pytest.mark.parametrize("solve", [markov.solve_all_exact, markov.solve_all_float])
+def test_solve_all_rejects_rings_below_three(solve, n, monkeypatch):
+    def no_work(n):
+        raise AssertionError("states were enumerated")
+
+    monkeypatch.setattr(markov, "enumerate_states", no_work)
+    with pytest.raises(ValueError, match=f"ring size must be at least 3, got {n}"):
+        solve(n)
 
 
 def test_solve_all_float_matches_exact():
@@ -357,7 +361,6 @@ def test_each_token_count_is_strongly_connected_without_collisions():
 
 def test_every_sweep_block_is_accepted_without_fallback(monkeypatch):
     expected = markov.solve_all_exact(12)
-    monkeypatch.setattr(markov, "_ET_CACHE", {})
     monkeypatch.setattr(markov, "_gauss_fraction", _no_fallback)
     assert markov.solve_all_exact(12) == expected
 
@@ -433,12 +436,10 @@ def test_sweep_rows_schema():
 
 
 def test_enumerate_states_counts_by_brute_force():
-    for n in (5, 7, 9):
+    for n in range(3, 15):
         brute = set()
         for k in range(1, n + 1, 2):
-            for cuts in product(range(1, n), repeat=k - 1):
-                if len(set(cuts)) != k - 1 or sorted(cuts) != list(cuts):
-                    continue
+            for cuts in combinations(range(1, n), k - 1):
                 points = (0,) + cuts + (n,)
                 gaps = tuple(points[i + 1] - points[i] for i in range(k))
                 brute.add(min(gaps[i:] + gaps[:i] for i in range(k)))
@@ -614,23 +615,8 @@ def test_reachable_states_match_a_search_over_successor_counts(monkeypatch):
         monkeypatch.undo()
 
 
-def test_warm_solve_steps_no_state(monkeypatch):
-    monkeypatch.setattr(markov, "_ET_CACHE", {})
-    expected = markov.solve_all_exact(11)
-
-    def no_step(n, tokens):
-        raise AssertionError("a solved state was stepped")
-
-    monkeypatch.setattr(markov, "_successor_keys", no_step)
-    assert markov.solve_all_exact(11) == expected
-    assert markov.expected_time_exact(GapVector(11, (1, 1, 9)), max_ring=11) == expected[(1, 1, 9)]
-
-
-def test_partly_solved_states_step_only_the_unsolved_token_counts(monkeypatch):
-    monkeypatch.setattr(markov, "_ET_CACHE", {})
-    expected = markov.solve_all_exact(11)
-    monkeypatch.setattr(markov, "_ET_CACHE", {})
-    markov.expected_time_exact(GapVector(11, (1, 1, 1, 1, 7)), max_ring=11)  # solves K <= 5
+def test_a_solve_keeps_nothing_between_calls(monkeypatch):
+    # no solved value survives a call: every solve steps every token count again
     stepped = []
     keys = markov._successor_keys
 
@@ -639,8 +625,15 @@ def test_partly_solved_states_step_only_the_unsolved_token_counts(monkeypatch):
         return keys(n, tokens)
 
     monkeypatch.setattr(markov, "_successor_keys", spy)
+    every_k = set(map(len, enumerate_states(11)))
+    expected = markov.solve_all_exact(11)
+    assert set(stepped) == every_k
+    stepped.clear()
     assert markov.solve_all_exact(11) == expected
-    assert stepped and min(stepped) == 7
+    assert set(stepped) == every_k
+    stepped.clear()
+    assert markov.expected_time_exact(GapVector(11, (1, 1, 9)), max_ring=11) == expected[(1, 1, 9)]
+    assert set(stepped) == {1, 3}
 
 
 def test_state_space_reachable_and_closed():
