@@ -17,9 +17,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import markov, montecarlo, optimize, polynomials
-from .lyapunov import ALPHA, V, V3, V5
-from .ring import GapVector, parse_configuration, parse_gap_vector
+from .lyapunov import ALPHA, TARGETS, V, V3, V5
+from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, CapacityError, GapVector, parse_configuration, parse_gap_vector
 from .streams import MASK64, CoinStream, stream_key
 
 CONFIG_KEYS = (
@@ -38,8 +37,8 @@ OUTPUT_FORMATS = ("json", "csv")
 class RunConfig:
     seed: int = 0
     threads: int = 1
-    exact_capacity_n: int = markov.EXACT_RING_LIMIT
-    float_capacity_n: int = markov.FLOAT_RING_LIMIT
+    exact_capacity_n: int = EXACT_RING_LIMIT
+    float_capacity_n: int = FLOAT_RING_LIMIT
     mc_runs: int = 10000
     opt_starts: int = 50
     output_format: str = "json"
@@ -106,9 +105,10 @@ def _frac_str(value: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each imports the modules it runs, so a process loads only its own
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import montecarlo
     cfg = load_run_config(args.config_file, args)
     config = parse_configuration(args.config)
     runs = args.runs if args.runs is not None else cfg.mc_runs
@@ -134,6 +134,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
+    from . import markov
     cfg = load_run_config(args.config_file, args)
     if (args.config is None) == (args.sweep is None):
         raise ValueError("provide exactly one of --config or --sweep")
@@ -143,7 +144,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
             raise ValueError("expected time requires an odd token count (odd K)")
         try:
             print(_frac_str(markov.expected_time_exact(g, max_ring=cfg.exact_capacity_n)))
-        except markov.CapacityError:
+        except CapacityError:
             if not args.use_float:
                 raise
             print(repr(markov.expected_time_float(g, max_ring=cfg.float_capacity_n)))
@@ -151,7 +152,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
     n = args.sweep
     try:
         rows = markov.sweep_rows(n, max_ring=cfg.exact_capacity_n)
-    except markov.CapacityError:
+    except CapacityError:
         if not args.use_float:
             raise
         return _float_sweep(n, cfg)
@@ -173,6 +174,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _float_sweep(n: int, cfg: RunConfig) -> int:
+    from . import markov
     bound = float(markov.theorem1_bound(n))
     values = markov.solve_all_float(n, max_ring=cfg.float_capacity_n)
     print(markov.SWEEP_CSV_HEADER)
@@ -192,18 +194,15 @@ def _float_sweep(n: int, cfg: RunConfig) -> int:
 
 def _random_gap_state(rng_stream: CoinStream, k: int, n: int) -> GapVector:
     """Uniform composition of n into k positive parts from stream coins."""
-    # sample k-1 distinct cut points in 1..n-1 by rejection on stream words
-    cuts: set[int] = set()
+    cuts: set[int] = set()  # k-1 distinct cut points in 1..n-1, by rejection on stream words
     while len(cuts) < k - 1:
-        word = rng_stream.next_word()
-        cut = 1 + word % (n - 1)
-        cuts.add(cut)
+        cuts.add(1 + rng_stream.next_word() % (n - 1))
     points = [0] + sorted(cuts) + [n]
-    gaps = tuple(points[i + 1] - points[i] for i in range(k))
-    return GapVector(n, gaps)
+    return GapVector(n, tuple(b - a for a, b in zip(points, points[1:])))
 
 
 def _verify_drift(args, cfg: RunConfig, emit) -> tuple[int, int]:
+    from . import markov
     alpha = args.alpha if args.alpha is not None else ALPHA
     total = failures = 0
 
@@ -215,14 +214,13 @@ def _verify_drift(args, cfg: RunConfig, emit) -> tuple[int, int]:
 
     alpha_ok = alpha == 24
     record("alpha_constant_24", None, 1, 0 if alpha_ok else 1)
-    max_n = max(args.n, 5)
     stream = CoinStream(stream_key(cfg.seed, 977))
     for k in (3, 5, 7, 9):
-        if k + 1 > max_n:
+        if k + 1 > args.n:
             continue
         fails = {"lemma3": 0, "lemma6": 0, "v_identity": 0, "lemma8": 0, "prop17": 0}
         for _ in range(args.samples):
-            n = k + 1 + stream.next_word() % (max_n - k)
+            n = k + 1 + stream.next_word() % (args.n - k)
             g = _random_gap_state(stream, k, n)
             if not markov.verify_drift_V3(g).passed:
                 fails["lemma3"] += 1
@@ -242,6 +240,7 @@ def _verify_drift(args, cfg: RunConfig, emit) -> tuple[int, int]:
 
 
 def _verify_moments(args, emit) -> tuple[int, int]:
+    from . import markov
     total = failures = 0
     for k in range(3, min(args.max_k, 11) + 1, 2):
         eq12_cases = eq12_fails = 0
@@ -285,6 +284,7 @@ def _two_block_splits(k: int):
 
 
 def _verify_identities(args, emit) -> tuple[int, int]:
+    from . import polynomials
     total = failures = 0
     for k in range(5, args.max_k + 1, 2):
         checks = [
@@ -303,6 +303,7 @@ def _verify_identities(args, emit) -> tuple[int, int]:
 
 
 def _verify_kkt(args, cfg: RunConfig, emit) -> tuple[int, int]:
+    from . import optimize
     total = failures = 0
     opt_cfg = optimize.OptimizerConfig(starts=cfg.opt_starts, seed=cfg.seed)
     for k in (5, 7, 9):
@@ -329,6 +330,7 @@ def _verify_kkt(args, cfg: RunConfig, emit) -> tuple[int, int]:
 
 
 def _verify_coupling(args, cfg: RunConfig, emit) -> tuple[int, int]:
+    from . import montecarlo
     total = failures = 0
     exhaustive = montecarlo.exhaustive_coupling(3)
     total += 1
@@ -344,6 +346,14 @@ def _verify_coupling(args, cfg: RunConfig, emit) -> tuple[int, int]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config_file, args)
+    # below these a suite runs no check; N = 4 is the smallest ring with a 3-token drift state
+    least = {"samples": 1, "runs": 1, "n": 4}
+    if args.suite in ("moments", "identities", "kkt", "all"):
+        least["max_k"] = 3 if args.suite == "moments" else 5
+    for name, low in least.items():
+        if getattr(args, name) < low:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be >= {low} for verify {args.suite}, got {getattr(args, name)}")
     emit = lambda record: print(json.dumps(record))
     suites = {
         "drift": lambda: _verify_drift(args, cfg, emit),
@@ -364,6 +374,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    from . import optimize
     cfg = load_run_config(args.config_file, args)
     opt_cfg = optimize.OptimizerConfig(
         starts=cfg.opt_starts, seed=cfg.seed, max_iters=args.max_iters
@@ -423,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="maximize f3/f5/f over the simplex")
     common(p_opt)
-    p_opt.add_argument("--target", required=True, choices=optimize.TARGETS)
+    p_opt.add_argument("--target", required=True, choices=TARGETS)
     p_opt.add_argument("--k", type=int, required=True)
     p_opt.add_argument("--starts", dest="opt_starts", type=int, default=None)
     p_opt.add_argument("--max-iters", dest="max_iters", type=int, default=400)
@@ -437,7 +448,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe shows here rather than at exit
         return code
-    except (ValueError, markov.CapacityError) as exc:
+    except (ValueError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -23,6 +23,7 @@ from typing import Sequence
 from .ring import GapVector
 
 ALPHA = 24  # coefficient of f5 in f; the protocol analysis needs exactly 24
+TARGETS = ("f3", "f5", "f")  # the polynomials below that `optimize` maximizes
 
 SIMPLEX_TOL = 1e-12
 

@@ -40,16 +40,11 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .lyapunov import ALPHA, V, V3, V5, f3, f5
-from .ring import OCCUPANCY_BITS, GapVector, least_rotation, necklace_key, step_occupancy
+from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, OCCUPANCY_BITS, CapacityError, GapVector
+from .ring import least_rotation, necklace_key, step_occupancy
 
-EXACT_RING_LIMIT = 14
-FLOAT_RING_LIMIT = 20
 FLOAT_RESIDUAL_TOL = 1e-9
 TABLE_PASS_WORDS = 1 << 18  # words a pass of `_successor_keys` steps (one state if its 2^K is more)
-
-
-class CapacityError(RuntimeError):
-    """Raised when a query exceeds the configured ring-size capacity."""
 
 
 @dataclass(frozen=True)
@@ -174,7 +169,8 @@ def _token_bits(n: int, gaps: np.ndarray) -> np.ndarray:
 def _successor_keys(n: int, tokens: np.ndarray) -> Iterator[np.ndarray]:
     """Necklace keys of the complements of each row's 2^K successors (column m: move mask m), by passes."""
     per_pass = max(1, TABLE_PASS_WORDS >> tokens.shape[1])
-    for chunk in np.split(tokens, range(per_pass, len(tokens), per_pass)):
+    for lo in range(0, len(tokens), per_pass):
+        chunk = tokens[lo : lo + per_pass]
         moving = np.zeros((len(chunk), 1), dtype=np.uint64)
         for bit in chunk.T:
             moving = np.concatenate((moving, moving | bit[:, None]), axis=1)
@@ -209,27 +205,20 @@ def successor_distribution(g: GapVector) -> TransitionLaw:
 # state enumeration
 
 def enumerate_states(n: int) -> list[tuple[int, ...]]:
-    """All canonical odd-K gap vectors summing to n, ordered by (K, gaps)."""
-    found: set[tuple[int, ...]] = set()
+    """All canonical odd-K gap vectors summing to n, ordered by (K, gaps).
 
-    def compose(remaining: int, parts: int, prefix: tuple[int, ...], first: int):
-        if parts == 1:
-            if remaining >= 1:
-                gaps = prefix + (remaining,)
-                # canonical forms start with a minimal part; cheap pre-filter
-                if first <= min(gaps):
-                    found.add(least_rotation(gaps))
-            return
-        for g in range(1, remaining - parts + 2):
-            compose(remaining - g, parts - 1, prefix + (g,), first)
-
-    for k in range(1, n + 1, 2):
-        if k == 1:
-            found.add((n,))
-            continue
-        for g0 in range(1, n - k + 2):
-            compose(n - g0, k - 1, (g0,), g0)
-    return sorted(found, key=lambda s: (len(s), s))
+    The keys (`_necklace_gaps`) are the n-bit words with an odd number of
+    clear bits that are their own least rotation, found in passes of at
+    most TABLE_PASS_WORDS words and ordered as in `_successor_counts`.
+    """
+    found = []
+    for lo in range(0, 1 << n, TABLE_PASS_WORDS):
+        words = np.arange(lo, min(lo + TABLE_PASS_WORDS, 1 << n), dtype=np.uint64)
+        words = words[(n - np.bitwise_count(words)) % 2 == 1]
+        found.append(words[necklace_key(words, n) == words])
+    keys = np.concatenate(found)
+    order = np.lexsort((keys, n - np.bitwise_count(keys)))
+    return list(map(_necklace_gaps, repeat(n), keys[order].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +430,8 @@ def _reachable_states(n: int, seed: tuple[int, ...]) -> list[tuple[int, ...]]:
         keys: set[int] = set()
         for _k, group in groupby(sorted(frontier, key=len), len):
             for succ in _successor_keys(n, _token_bits(n, np.array(list(group), dtype=np.int64))):
-                keys.update(np.unique(succ).tolist())
+                flat = np.sort(succ, axis=None)
+                keys.update(flat[np.insert(flat[1:] != flat[:-1], 0, True)].tolist())
         frontier = [s for s in map(_necklace_gaps, repeat(n), keys) if s not in seen]
         seen.update(frontier)
     return sorted(seen, key=lambda s: (len(s), s))
@@ -513,14 +503,16 @@ def _solve_states(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int, ...]
     """
     values = [Fraction(0) if len(s) <= 1 else None for s in states]
     for block in _blocks(states, *_successor_table(n, states)):
-        referred = np.unique(block.exits[1]).tolist()
+        referred = np.flatnonzero(np.bincount(block.exits[1])).tolist()
         lcm = math.lcm(*(values[j].denominator for j in referred))
         scaled = np.zeros(block.first, dtype=object)
         scaled[referred] = [values[j].numerator * (lcm // values[j].denominator) for j in referred]
         rhs = np.full(len(block.matrix), lcm << block.k, dtype=object)
+        rows, cols, counts = block.exits
         # one block length of exits at a time, so few big-int products are alive at once
-        for rows, cols, counts in zip(*(np.split(a, range(len(rhs), len(a), len(rhs))) for a in block.exits)):
-            np.add.at(rhs, rows, counts.astype(object) * scaled[cols])
+        for lo in range(0, len(rows), len(rhs)):
+            part = slice(lo, lo + len(rhs))
+            np.add.at(rhs, rows[part], counts[part].astype(object) * scaled[cols[part]])
         for i, value in enumerate(_solve_integer(block.matrix, rhs.tolist()), block.first):
             values[i] = value / lcm
     return dict(zip(states, values))

@@ -25,7 +25,6 @@ are compacted only once more than a quarter of their slots are retired.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,6 +205,7 @@ def run_steps(
         for lo, hi in bounds:
             out[lo:hi] = _run_batch(occ0, n, master_seed, lo, hi, cap)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # threads only: not paid by a serial run
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = {pool.submit(_run_batch, occ0, n, master_seed, lo, hi, cap): (lo, hi) for lo, hi in bounds}
             for future, (lo, hi) in futures.items():

@@ -20,9 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import lyapunov
-from .lyapunov import ALPHA, alternating_tuples
-
-TARGETS = ("f3", "f5", "f")
+from .lyapunov import ALPHA, TARGETS, alternating_tuples
 
 ONE_27 = 1.0 / 27.0
 

@@ -19,9 +19,15 @@ import numpy as np
 from .streams import CoinStream
 
 OCCUPANCY_BITS = 64  # occupancy masks are stepped as uint64 words
+EXACT_RING_LIMIT = 14  # default capacities of the exact and float hitting-time solves
+FLOAT_RING_LIMIT = 20
 
 # A move mask is one boolean per token, in position-sorted token order.
 MoveMask = Sequence[bool]
+
+
+class CapacityError(RuntimeError):
+    """Raised when a query exceeds the configured ring-size capacity."""
 
 
 @dataclass(frozen=True, slots=True)

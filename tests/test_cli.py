@@ -109,12 +109,12 @@ def test_simulate_rejects_zero_runs(capsys):
 
 
 def test_simulate_step_cap_is_exit_one(capsys, monkeypatch):
-    import herman_lab.cli as cli_module
+    from herman_lab import montecarlo
 
     def explode(*args, **kwargs):
-        raise cli_module.montecarlo.StepLimitError(1, run_index=7)
+        raise montecarlo.StepLimitError(1, run_index=7)
 
-    monkeypatch.setattr(cli_module.montecarlo, "run_steps", explode)
+    monkeypatch.setattr(montecarlo, "run_steps", explode)
     code, _, err = run_cli(capsys, "simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10")
     assert code == 1
     assert "run 7" in err
@@ -200,6 +200,26 @@ def test_verify_drift_fails_with_corrupted_alpha(capsys):
 def test_verify_coupling(capsys):
     code, out, _ = run_cli(capsys, "verify", "coupling", "--n", "5", "--runs", "50")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("drift", "--samples", "0"),
+        ("coupling", "--runs", "0"),
+        ("drift", "--n", "3"),
+        ("moments", "--max-k", "2"),
+        ("identities", "--max-k", "4"),
+        ("kkt", "--max-k", "4"),
+        ("all", "--max-k", "4"),
+    ],
+    ids=" ".join,
+)
+def test_verify_input_that_runs_no_checks_is_exit_two(argv, capsys):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and argv[1] in err and len(err.strip().splitlines()) == 1
 
 
 def test_optimize_f3_matches_closed_form(capsys):

@@ -443,7 +443,8 @@ def test_enumerate_states_counts_by_brute_force():
                 points = (0,) + cuts + (n,)
                 gaps = tuple(points[i + 1] - points[i] for i in range(k))
                 brute.add(min(gaps[i:] + gaps[:i] for i in range(k)))
-        assert set(enumerate_states(n)) == brute
+        # the block solve relies on this order, not only on the set
+        assert enumerate_states(n) == sorted(brute, key=lambda s: (len(s), s))
 
 
 # --- drift identities ---------------------------------------------------------
