@@ -16,6 +16,12 @@ come from one CSR table over a successor-closed state list
 solve builds its own table over its own state list and returns the
 values; no solved value is kept between calls.
 
+The exact solve has one row per reflection class, a state with its
+mirror image (the reversed gaps): the step commutes with mirroring, so
+the chain is strongly lumpable onto the classes.  A class row is its
+first member's successor counts summed per class; the float path keeps
+one row per state.
+
 Multiplied by 2^K and by the lcm of the denominators it refers to, a
 block is an integer system: 2^K I minus the mask counts, with an integer
 right-hand side.  It is factored once modulo one prime, the solution is
@@ -41,7 +47,7 @@ import numpy as np
 
 from .lyapunov import ALPHA, V, V3, V5, f3, f5
 from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, OCCUPANCY_BITS, CapacityError, GapVector
-from .ring import least_rotation, necklace_key, step_occupancy
+from .ring import bracelet_key, least_rotation, necklace_key, step_occupancy
 
 FLOAT_RESIDUAL_TOL = 1e-9
 TABLE_PASS_WORDS = 1 << 18  # words a pass of `_successor_keys` steps (one state if its 2^K is more)
@@ -424,8 +430,9 @@ def _solve_integer(a: np.ndarray, b: list[int]) -> list[Fraction]:
 # expected stabilization times
 
 def _reachable_states(n: int, seed: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The canonical states reachable from `seed`, in (K, gaps) order, a frontier at a time."""
-    seen, frontier = {seed}, [seed]
+    """The canonical states reachable from `seed` or its mirror image (so a mirror-closed list), in (K, gaps) order."""
+    seen = {seed, least_rotation(seed[::-1])}
+    frontier = list(seen)
     while frontier:
         keys: set[int] = set()
         for _k, group in groupby(sorted(frontier, key=len), len):
@@ -437,27 +444,38 @@ def _reachable_states(n: int, seed: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(seen, key=lambda s: (len(s), s))
 
 
-def _successor_table(n: int, states: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
-    """CSR successor rows (indptr, int32 state indices, int32 mask counts) of canonical states.
-
-    The list must be in (K, gaps) order, which puts each row in
-    `_successor_counts` order, and closed under successors (ValueError if
-    not).  A canonical state's key is the complement of its word:
-    successors are binary-searched.
-    """
-    size = len(states)
+def _state_keys(n: int, states: list[tuple[int, ...]]) -> np.ndarray:
+    """The necklace key of each canonical state of a list in (K, gaps) order: the complement of its token word."""
     groups = [_token_bits(n, np.array(list(group), dtype=np.int64)) for _k, group in groupby(states, len)]
-    keys = np.concatenate([np.bitwise_or.reduce(tokens, axis=1) for tokens in groups]) ^ np.uint64((1 << n) - 1)
+    return np.concatenate([np.bitwise_or.reduce(tokens, axis=1) for tokens in groups]) ^ np.uint64((1 << n) - 1)
+
+
+def _mirror_classes(n: int, states: list[tuple[int, ...]]) -> np.ndarray:
+    """The column of each state's reflection class (it and its mirror image), numbered in order of first member."""
+    _keys, first, inverse = np.unique(bracelet_key(_state_keys(n, states), n), return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+def _successor_table(n: int, states: list[tuple[int, ...]], classes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """CSR successor rows (indptr, int32 class columns, int32 mask counts) of classes of canonical states.
+
+    `classes[i]` is state i's class, numbered in order of first member,
+    which alone is stepped.  The list must be in (K, gaps) order, which
+    puts each row in `_successor_counts` order when `classes` is
+    `arange`, and closed under successors (ValueError if not).
+    """
+    size, width = len(states), int(classes.max()) + 1
+    keys = _state_keys(n, states)
     by_key = np.argsort(keys)
     lengths, cols, counts = [np.zeros(1, dtype=np.int64)], [], []
-    for tokens in groups:
-        for succ in _successor_keys(n, tokens):
+    for _k, group in groupby(map(states.__getitem__, np.unique(classes, return_index=True)[1].tolist()), len):
+        for succ in _successor_keys(n, _token_bits(n, np.array(list(group), dtype=np.int64))):
             where = by_key[np.minimum(np.searchsorted(keys, succ, sorter=by_key), size - 1)]
             if not np.array_equal(keys[where], succ):
                 raise ValueError("the state list is not closed under successors")
-            pairs, pair_counts = np.unique(np.arange(len(succ))[:, None] * size + where, return_counts=True)
-            lengths.append(np.bincount(pairs // size, minlength=len(succ)))
-            cols.append((pairs % size).astype(np.int32))
+            pairs, pair_counts = np.unique(np.arange(len(succ))[:, None] * width + classes[where], return_counts=True)
+            lengths.append(np.bincount(pairs // width, minlength=len(succ)))
+            cols.append((pairs % width).astype(np.int32))
             counts.append(pair_counts.astype(np.int32))
     return np.cumsum(np.concatenate(lengths)), np.concatenate(cols), np.concatenate(counts)
 
@@ -465,11 +483,11 @@ def _successor_table(n: int, states: list[tuple[int, ...]]) -> tuple[np.ndarray,
 class _Block(NamedTuple):
     """One token count's hitting-time system, multiplied through by 2^K.
 
-    Its states are `first`, `first + 1`, ... of a successor-closed list in
-    (K, gaps) order, so it holds every same-K successor.  `matrix` is 2^K I - C,
-    C the mask counts of its CSR rows.  The other entries, the exits to
-    fewer tokens, are `exits` (block rows, state indices, mask counts) in
-    table order: each row's exits in `_successor_counts` order, row by row.
+    Its rows are `first`, `first + 1`, ... of a table over a closed list
+    in (K, gaps) order, so it holds every same-K successor.  `matrix` is
+    2^K I - C, C the mask counts of its CSR rows.  The other entries, the
+    exits to fewer tokens, are `exits` (block rows, table columns, mask
+    counts) in table order: each row's exits by column, row by row.
     """
 
     k: int
@@ -496,13 +514,16 @@ def _blocks(states: list[tuple[int, ...]], indptr, table_cols, table_counts) -> 
 def _solve_states(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int, ...], Fraction]:
     """Exact E[T] of every state of a successor-closed list, one token count at a time.
 
-    Nothing is kept between calls: each call builds its own table and
-    returns its values.  With L the lcm of the denominators of the solved
+    One row is solved per reflection class, whose value every member
+    gets.  Nothing is kept between calls: each call builds its own table
+    and returns its values.  With L the lcm of the denominators of the solved
     values a block refers to, the block times L is an integer system
     A (L E) = b.
     """
-    values = [Fraction(0) if len(s) <= 1 else None for s in states]
-    for block in _blocks(states, *_successor_table(n, states)):
+    classes = _mirror_classes(n, states)
+    representatives = [states[i] for i in np.unique(classes, return_index=True)[1].tolist()]
+    values = [Fraction(0) if len(s) <= 1 else None for s in representatives]
+    for block in _blocks(representatives, *_successor_table(n, states, classes)):
         referred = np.flatnonzero(np.bincount(block.exits[1])).tolist()
         lcm = math.lcm(*(values[j].denominator for j in referred))
         scaled = np.zeros(block.first, dtype=object)
@@ -515,19 +536,26 @@ def _solve_states(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int, ...]
             np.add.at(rhs, rows[part], counts[part].astype(object) * scaled[cols[part]])
         for i, value in enumerate(_solve_integer(block.matrix, rhs.tolist()), block.first):
             values[i] = value / lcm
-    return dict(zip(states, values))
+    return dict(zip(states, map(values.__getitem__, classes.tolist())))
+
+
+def _state_count(n: int) -> int:
+    """len(enumerate_states(n)) by Burnside's lemma: phi(d) rotations have cycles of length d,
+    and fix 2^(n/d - 1) words with an odd number of clear bits if d is odd, else none."""
+    phi = [sum(math.gcd(i, d) == 1 for i in range(d)) for d in range(n + 1)]
+    return sum(phi[d] << (n // d - 1) for d in range(1, n + 1, 2) if n % d == 0) // n
 
 
 def _check_capacity(n: int, max_ring: int | None, default: int) -> None:
     if n < 3:
         raise ValueError(f"ring size must be at least 3, got {n}")
+    _check_word(n)
     limit = default if max_ring is None else max_ring
     if n > limit:
         raise CapacityError(
-            f"ring size {n} exceeds the configured capacity {limit}; "
+            f"ring size {n} exceeds the configured capacity {limit} ({_state_count(n)} states); "
             "raise the capacity explicitly to run larger instances"
         )
-    _check_word(n)
 
 
 def expected_time_exact(g: GapVector, *, max_ring: int | None = None) -> Fraction:
@@ -541,7 +569,7 @@ def expected_time_exact(g: GapVector, *, max_ring: int | None = None) -> Fractio
 
 def _solve_states_float(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int, ...], float]:
     values = np.zeros(len(states))
-    for block in _blocks(states, *_successor_table(n, states)):
+    for block in _blocks(states, *_successor_table(n, states, np.arange(len(states)))):
         denom = float(1 << block.k)
         a = block.matrix.view(np.float64)  # in place: the integer block is not needed again
         np.divide(block.matrix, denom, out=a)  # dyadic, so equal to I - C / 2^K bit for bit

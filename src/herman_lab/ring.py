@@ -198,6 +198,14 @@ def necklace_key(mask, n: int):
     return key
 
 
+def bracelet_key(masks: np.ndarray, n: int) -> np.ndarray:
+    """Least necklace key of each n-bit mask and of its mirror image (bit i to bit n-1-i): one key per bracelet."""
+    mirror = np.zeros_like(masks)
+    for i in range(n):
+        mirror |= (masks >> i & 1) << (n - 1 - i)
+    return np.minimum(necklace_key(masks, n), necklace_key(mirror, n))
+
+
 def random_step(config: Configuration, rng: CoinStream) -> Configuration:
     """One synchronous step with each token moving independently w.p. 1/2."""
     return apply_step(config, rng.bools(config.token_count))

@@ -67,6 +67,13 @@ def test_exact_capacity_without_float_flag(capsys):
     assert "capacity" in err
 
 
+def test_exact_capacity_error_names_the_refused_state_count(capsys):
+    code, out, err = run_cli(capsys, "exact", "--sweep", "18")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ring size 18 exceeds the configured capacity 14 (7286 states); ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_exact_capacity_override_flag(capsys):
     code, out, _ = run_cli(
         capsys, "exact", "--config", "N=17;gaps=5,5,7", "--exact-capacity-n", "17"

@@ -18,7 +18,12 @@ Two sweeps joined them before the hitting-time solve moved onto one CSR
 successor table: `exact --float --sweep 14 --exact-capacity-n 13`, whose
 last digits pin the order in which each row's exit terms are summed, and
 `exact --sweep 15 --exact-capacity-n 15`, a sweep past the default
-capacity.
+capacity.  Two more were recorded before the exact solve moved onto
+reflection classes: `exact --sweep 16 --exact-capacity-n 16`, and
+`exact --config "N=15;gaps=1,2,3,4,5" --exact-capacity-n 15`, whose seed
+is not its own mirror image, so it is solved over its reachable states.
+An entry whose first two arguments another entry shares names its test
+`id`.
 """
 
 import hashlib
@@ -60,7 +65,7 @@ def test_float_sweep_stdout_is_golden():
     assert hashlib.sha256(stdout).hexdigest() == FLOAT_SWEEP_12_SHA256
 
 
-@pytest.mark.parametrize("case", CORPUS, ids=lambda case: " ".join(case["argv"][:2]))
+@pytest.mark.parametrize("case", CORPUS, ids=lambda case: case.get("id", " ".join(case["argv"][:2])))
 def test_cli_corpus_is_golden(case, tmp_path):
     argv = list(case["argv"])
     histogram = tmp_path / "hist.csv"

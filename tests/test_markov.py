@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, groupby, islice, product
 
 import numpy as np
 import pytest
@@ -26,7 +26,15 @@ from herman_lab.markov import (
     verify_drift_V5,
     verify_prop17,
 )
-from herman_lab.ring import Configuration, GapVector, apply_step, canonical_rotation, config_from_gaps, gap_vector
+from herman_lab.ring import (
+    Configuration,
+    GapVector,
+    apply_step,
+    canonical_rotation,
+    config_from_gaps,
+    gap_vector,
+    least_rotation,
+)
 
 
 def closed_form_k3(g: GapVector) -> Fraction:
@@ -151,22 +159,22 @@ def table_rows(n, states, table):
 def test_successor_table_matches_successor_counts_on_every_state():
     for n in range(3, 15):
         states = enumerate_states(n)
-        table = markov._successor_table(n, states)
+        table = markov._successor_table(n, states, np.arange(len(states)))
         assert table[1].dtype == table[2].dtype == np.int32
         assert table_rows(n, states, table) == [markov._successor_counts(n, s) for s in states], n
 
 
 def test_successor_table_is_the_same_when_a_token_count_spans_passes(monkeypatch):
     states = enumerate_states(13)
-    whole = markov._successor_table(13, states)
+    whole = markov._successor_table(13, states, np.arange(len(states)))
     monkeypatch.setattr(markov, "TABLE_PASS_WORDS", 1 << 7)  # 4 states of K = 5 per pass, 1 of K = 7 up
-    split = markov._successor_table(13, states)
+    split = markov._successor_table(13, states, np.arange(len(states)))
     assert all(np.array_equal(a, b) for a, b in zip(whole, split))
 
 
 def test_successor_table_at_word_size():
     states = markov._reachable_states(64, (21, 21, 22))
-    table = markov._successor_table(64, states)
+    table = markov._successor_table(64, states, np.arange(len(states)))
     assert table_rows(64, states, table) == [markov._successor_counts(64, s) for s in states]
 
 
@@ -177,7 +185,88 @@ def test_successor_table_rejects_a_list_not_closed_under_successors():
         states = enumerate_states(9)
         states.remove(missing)
         with pytest.raises(ValueError, match="not closed"):
-            markov._successor_table(9, states)
+            markov._successor_table(9, states, np.arange(len(states)))
+
+
+# --- reflection classes --------------------------------------------------------
+
+def mirror(gaps):
+    return least_rotation(gaps[::-1])
+
+
+def class_summed(n, gaps):
+    """`_successor_counts` of a state with each successor replaced by its class, the lesser of it and its mirror."""
+    summed = {}
+    for succ, count in markov._successor_counts(n, gaps):
+        cls = min(succ, mirror(succ))
+        summed[cls] = summed.get(cls, 0) + count
+    return summed
+
+
+def test_a_state_and_its_mirror_have_the_same_class_summed_law():
+    asymmetric = 0
+    for n in range(3, 15):
+        for gaps in enumerate_states(n):
+            asymmetric += gaps != mirror(gaps)
+            assert class_summed(n, gaps) == class_summed(n, mirror(gaps)), (n, gaps)
+    assert asymmetric > 0
+
+
+def test_mirror_classes_pair_each_state_with_its_mirror_in_first_member_order():
+    for n in range(3, 15):
+        states = enumerate_states(n)
+        index = {s: i for i, s in enumerate(states)}
+        classes = markov._mirror_classes(n, states).tolist()
+        assert classes == [classes[index[mirror(s)]] for s in states]
+        assert len(set(classes)) == len({min(s, mirror(s)) for s in states})
+        firsts = [c for i, c in enumerate(classes) if c not in classes[:i]]
+        assert firsts == list(range(len(firsts)))
+    assert len(set(markov._mirror_classes(13, enumerate_states(13)).tolist())) == 190
+
+
+def test_lumped_table_rows_are_class_summed_successor_counts():
+    for n in range(3, 15):
+        states = enumerate_states(n)
+        classes = markov._mirror_classes(n, states)
+        index = {s: i for i, s in enumerate(states)}
+        first_of = classes.tolist().index
+        representatives = [s for i, s in enumerate(states) if first_of(classes[i]) == i]
+        indptr, cols, counts = markov._successor_table(n, states, classes)
+        assert len(indptr) == len(representatives) + 1
+        for r, rep in enumerate(representatives):
+            a, b = indptr[r], indptr[r + 1]
+            assert list(cols[a:b]) == sorted(cols[a:b])
+            expected = {}
+            for succ, count in markov._successor_counts(n, rep):
+                column = int(classes[index[succ]])
+                expected[column] = expected.get(column, 0) + count
+            assert dict(zip(cols[a:b].tolist(), counts[a:b].tolist())) == expected, (n, rep)
+
+
+def necklace_reference(n):
+    """E[T] of every state from the unlumped system, one Fraction row per necklace, a token count at a time."""
+    values = {}
+    for k, group in groupby(enumerate_states(n), len):
+        block = list(group)
+        index = {s: i for i, s in enumerate(block)}
+        rows, rhs = [], []
+        for s in block:
+            row, b = [Fraction(0)] * len(block), Fraction(1)
+            row[index[s]] += 1
+            for succ, count in markov._successor_counts(n, s):
+                if succ in index:
+                    row[index[succ]] -= Fraction(count, 1 << k)
+                else:
+                    b += Fraction(count, 1 << k) * values[succ]
+            rows.append(row)
+            rhs.append(b)
+        values.update(zip(block, [Fraction(0)] * len(block) if k == 1 else markov._gauss_fraction(rows, rhs)))
+    return values
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_lumped_solve_equals_the_unreduced_necklace_system(n):
+    assert markov.solve_all_exact(n) == necklace_reference(n)
 
 
 # --- exact expected times ------------------------------------------------------
@@ -249,6 +338,11 @@ def test_raised_capacity_stops_at_the_occupancy_word():
         expected_time_float(g, max_ring=65)
     with pytest.raises(CapacityError, match="occupancy word"):
         markov.solve_all_exact(65, max_ring=100)
+
+
+def test_state_count_is_the_length_of_the_enumeration():
+    for n in range(3, 21):
+        assert markov._state_count(n) == len(enumerate_states(n)), n
 
 
 @pytest.mark.parametrize("n", [-3, 0, 1, 2])
@@ -635,6 +729,16 @@ def test_a_solve_keeps_nothing_between_calls(monkeypatch):
     stepped.clear()
     assert markov.expected_time_exact(GapVector(11, (1, 1, 9)), max_ring=11) == expected[(1, 1, 9)]
     assert set(stepped) == {1, 3}
+
+
+@pytest.mark.parametrize(
+    "n, seed", [(7, (1, 2, 4)), (12, (1, 1, 1, 2, 2, 2, 3)), (13, (1,) * 11 + (2,)), (15, (1, 2, 3, 4, 5))]
+)
+def test_reachable_states_are_closed_under_successors_and_mirroring(n, seed):
+    states = markov._reachable_states(n, seed)
+    assert seed in states and mirror(seed) in states
+    assert _is_closed(n, states)
+    assert {mirror(s) for s in states} == set(states)
 
 
 def test_state_space_reachable_and_closed():

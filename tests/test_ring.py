@@ -10,6 +10,7 @@ from herman_lab.ring import (
     GapVector,
     apply_step,
     bit_step,
+    bracelet_key,
     bits_from_config,
     canonical_rotation,
     config_from_bits,
@@ -341,3 +342,15 @@ def test_necklace_key_is_least_rotation(rng):
         rotations = [((mask << r) | (mask >> (n - r))) & ring for r in range(n)]
         assert necklace_key(mask, n) == min(rotations)
         assert {necklace_key(r, n) for r in rotations} == {min(rotations)}
+
+
+def test_bracelet_key_is_least_rotation_of_mask_or_mirror(rng):
+    for n in (3, 8, 17, 63, 64):
+        ring = (1 << n) - 1
+        masks = [rng.getrandbits(n) for _ in range(100)]
+        keys = bracelet_key(np.array(masks, dtype=np.uint64), n)
+        assert keys.dtype == np.uint64
+        for mask, key in zip(masks, keys.tolist()):
+            mirror = int(format(mask, f"0{n}b")[::-1], 2)
+            words = [w << r & ring | w >> (n - r) for w in (mask, mirror) for r in range(n)]
+            assert key == min(words)
