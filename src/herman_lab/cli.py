@@ -16,9 +16,11 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .lyapunov import ALPHA, TARGETS, V, V3, V5
-from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, CapacityError, GapVector, parse_configuration, parse_gap_vector
+from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, OCCUPANCY_BITS, CapacityError, GapVector, parse_configuration
+from .ring import parse_gap_vector
 from .streams import MASK64, CoinStream, stream_key
 
 CONFIG_KEYS = (
@@ -262,25 +264,11 @@ def _verify_moments(args, emit) -> tuple[int, int]:
     return total, failures
 
 
-def _two_block_splits(k: int):
-    """All unordered pairs of non-adjacent cyclic blocks (yields index lists)."""
-    seen = set()
-    for s1 in range(k):
-        for l1 in range(1, k - 2):
-            for s2 in range(k):
-                for l2 in range(1, k - 2):
-                    b1 = frozenset((s1 + j) % k for j in range(l1))
-                    b2 = frozenset((s2 + j) % k for j in range(l2))
-                    if b1 & b2:
-                        continue
-                    e1, e2 = (s1 + l1 - 1) % k, (s2 + l2 - 1) % k
-                    if (e1 + 1) % k == s2 or (e2 + 1) % k == s1:
-                        continue
-                    key = frozenset((b1, b2))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield sorted(b1 | b2)
+def _two_block_splits(k: int) -> list[list[int]]:
+    """The index sets of 0..k-1 that are exactly two maximal cyclic blocks."""
+    from . import markov
+    subsets = (idx for size in range(k + 1) for idx in combinations(range(k), size))
+    return [list(idx) for idx in subsets if len(markov._cyclic_blocks(k, idx)) == 2]
 
 
 def _verify_identities(args, emit) -> tuple[int, int]:
@@ -354,6 +342,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if getattr(args, name) < low:
             flag = "--" + name.replace("_", "-")
             raise ValueError(f"{flag} must be >= {low} for verify {args.suite}, got {getattr(args, name)}")
+    # drift and coupling step rings of up to --n processes as occupancy words
+    if args.suite in ("drift", "coupling", "all") and args.n > OCCUPANCY_BITS:
+        raise ValueError(f"--n must be <= {OCCUPANCY_BITS} for verify {args.suite}, got {args.n}")
     emit = lambda record: print(json.dumps(record))
     suites = {
         "drift": lambda: _verify_drift(args, cfg, emit),

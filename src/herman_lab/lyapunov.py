@@ -7,11 +7,13 @@ the Lyapunov functions V3, V5, V whose one-step drift bounds the
 expected stabilization time of the ring.
 
 Every function is backend-polymorphic: feed it Fractions (or ints) for
-exact rational results, floats for IEEE doubles.  Simplex points are
-validated by default; pass check=False to evaluate the underlying
-polynomial at an arbitrary vector (used by drift identities, which work
-on raw integer gap vectors, and by finite-difference oracles that step
-off the simplex).
+exact rational results, floats for IEEE doubles.  f3 and f5 also take
+the columns of an int64 array, `rows.T`, and return every row's value
+at once, exact while no sum leaves int64.  Simplex points are validated
+by default; pass check=False to evaluate the underlying polynomial at
+an arbitrary vector (used by drift identities, which work on raw integer
+gap vectors, and by finite-difference oracles that step off the
+simplex).
 """
 
 from __future__ import annotations

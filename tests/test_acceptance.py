@@ -141,6 +141,14 @@ def _two_block_splits(k):
                         yield sorted(b1 | b2)
 
 
+def test_cli_two_block_splits_are_the_reference_splits():
+    from herman_lab import cli
+
+    for k in range(3, 14):
+        assert sorted(cli._two_block_splits(k)) == sorted(_two_block_splits(k)), k
+    _announce("two-block splits", "the CLI's equal the reference's, K = 3..13")
+
+
 def test_symbolic_identities():
     for k in (5, 7, 9, 11, 13):
         assert polynomials.check_continuity(k)

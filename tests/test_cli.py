@@ -219,6 +219,9 @@ def test_verify_coupling(capsys):
         ("identities", "--max-k", "4"),
         ("kkt", "--max-k", "4"),
         ("all", "--max-k", "4"),
+        ("drift", "--n", "65"),
+        ("coupling", "--n", "65"),
+        ("all", "--n", "65"),
     ],
     ids=" ".join,
 )
@@ -227,6 +230,12 @@ def test_verify_input_that_runs_no_checks_is_exit_two(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and argv[1] in err and len(err.strip().splitlines()) == 1
+
+
+def test_verify_drift_runs_at_the_occupancy_word(capsys):
+    code, out, _ = run_cli(capsys, "verify", "drift", "--n", "64", "--samples", "1")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["pass"] is True
 
 
 def test_optimize_f3_matches_closed_form(capsys):

@@ -1,7 +1,8 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from conftest import random_gaps, random_simplex_fractions
@@ -107,12 +108,30 @@ def test_f_range_on_random_points(rng):
 
 def test_rotation_symmetry_exact(rng):
     for _ in range(100):
-        k = rng.choice((3, 5, 7, 9))
+        k = rng.choice((3, 5, 7, 9, 11))
         x = random_simplex_fractions(rng, k)
-        rotated = x[1:] + x[:1]
-        assert f(x) == f(rotated)
-        assert f3(x) == f3(rotated)
-        assert f5(x) == f5(rotated)
+        turn = rng.randrange(1, k)
+        for image in (x[turn:] + x[:turn], x[::-1]):
+            assert f(x) == f(image)
+            assert f3(x) == f3(image)
+            assert f5(x) == f5(image)
+
+
+def test_rotation_and_reversal_symmetry_on_every_small_integer_vector():
+    # odd K: every cyclic index difference of an alternating tuple is odd, so the
+    # drift sums may evaluate a canonical successor in place of the unrotated one
+    for k in (1, 3, 5, 7):
+        for x in product(range(3), repeat=k):
+            images = [x[j:] + x[:j] for j in range(k)]
+            for image in images + [y[::-1] for y in images]:
+                assert f3(image, check=False) == f3(x, check=False), x
+                assert f5(image, check=False) == f5(x, check=False), x
+
+
+def test_int64_columns_evaluate_each_row(rng):
+    rows = np.array([[rng.randint(0, 64) for _ in range(9)] for _ in range(50)], dtype=np.int64)
+    for poly in (f3, f5):
+        assert poly(rows.T, check=False).tolist() == [poly(row, check=False) for row in rows.tolist()]
 
 
 def test_continuity_reduction_exact(rng):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_gaps
 from herman_lab import markov
-from herman_lab.lyapunov import V
+from herman_lab.lyapunov import V, f3, f5
 from herman_lab.markov import (
     BoundCheck,
     CapacityError,
@@ -17,7 +17,6 @@ from herman_lab.markov import (
     lyapunov_bound_check,
     max_expected_time,
     moment_formula,
-    step_gaps,
     successor_distribution,
     sweep_rows,
     theorem1_bound,
@@ -91,6 +90,49 @@ def test_law_is_stochastic_with_conserved_sums(rng):
             assert outcome.token_count % 2 == k % 2
             if outcome.token_count:
                 assert sum(outcome.gaps) == n
+
+
+# --- the gap-space step: the reference the package's kernels are checked against
+
+def raw_increments(gaps, mask):
+    """Gap values after the mask's moves, zeros (collisions) retained."""
+    return [g + d for g, d in zip(gaps, markov.gap_increments(len(gaps), mask))]
+
+
+def merge_zeros(new):
+    """Remove annihilated token pairs; a zero gap merges its two neighbors.
+
+    Zero gaps are never cyclically adjacent (a shared token cannot both
+    move and stay), so each zero removes a disjoint token pair.
+    """
+    k = len(new)
+    dead = set()
+    for i, v in enumerate(new):
+        if v == 0:
+            dead.add((i - 1) % k)
+            dead.add(i)
+    if not dead:
+        return tuple(new)
+    survivors = [i for i in range(k) if i not in dead]
+    if not survivors:
+        return ()
+    out = []
+    for idx, b in enumerate(survivors):
+        a = survivors[idx - 1]
+        j = (a + 1) % k
+        total = 0
+        while True:
+            total += new[j]
+            if j == b:
+                break
+            j = (j + 1) % k
+        out.append(total)
+    return tuple(out)
+
+
+def step_gaps(gaps, mask):
+    """Successor gap vector (token numbering preserved, not canonicalized)."""
+    return merge_zeros(raw_increments(gaps, mask))
 
 
 def test_step_gaps_matches_position_pipeline(rng):
@@ -618,6 +660,41 @@ def test_drift_v_detects_oversized_alpha():
     g = GapVector(25, (5, 5, 5, 5, 5))
     assert verify_drift_V(g).passed
     assert not verify_drift_V(g, alpha=26).passed
+
+
+def reference_drift_sums(n, gaps):
+    """(sum f3(succ), sum f5(succ), sum f5(raw)) by stepping every mask in gap space."""
+    sums = [0, 0, 0]
+    for mask in range(1 << len(gaps)):
+        raw = raw_increments(gaps, mask)
+        succ = merge_zeros(raw)
+        sums[0] += f3(succ, check=False)
+        sums[1] += f5(succ, check=False)
+        sums[2] += f5(raw, check=False)
+    return tuple(sums)
+
+
+def test_drift_sums_match_the_gap_space_step_on_every_state():
+    for n in range(3, 14):
+        for gaps in enumerate_states(n):
+            if len(gaps) >= 3:
+                assert markov._drift_sums(n, gaps) == reference_drift_sums(n, gaps), (n, gaps)
+
+
+def test_drift_sums_match_the_gap_space_step_on_random_rotated_states(rng):
+    for _ in range(150):
+        k = rng.choice((3, 5, 7, 9))
+        n = rng.randint(k + 1, 64)
+        gaps = random_gaps(rng, k, n).gaps
+        turn = rng.randrange(k)
+        gaps = gaps[turn:] + gaps[:turn]
+        assert markov._drift_sums(n, gaps) == reference_drift_sums(n, gaps), (n, gaps)
+
+
+def test_drift_sums_refuse_a_state_whose_raw_sum_could_wrap_int64():
+    # 2^33 * 64^5 = 2^63: refused before any of the 2^33 masks is stepped
+    with pytest.raises(OverflowError, match="exceed int64"):
+        markov._drift_sums(64, (1,) * 32 + (32,))
 
 
 # --- gap increment moments -------------------------------------------------------
