@@ -9,7 +9,6 @@ reproducible from the flags alone.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import os
@@ -25,7 +24,6 @@ from .streams import MASK64, CoinStream, stream_key
 
 CONFIG_KEYS = (
     "seed",
-    "threads",
     "exact_capacity_n",
     "float_capacity_n",
     "mc_runs",
@@ -38,7 +36,6 @@ OUTPUT_FORMATS = ("json", "csv")
 @dataclass
 class RunConfig:
     seed: int = 0
-    threads: int = 1
     exact_capacity_n: int = EXACT_RING_LIMIT
     float_capacity_n: int = FLOAT_RING_LIMIT
     mc_runs: int = 10000
@@ -54,7 +51,7 @@ def _int_setting(text: str, name: str) -> int:
 
 
 def load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
-    """Defaults, then config-file values, then environment, then flags."""
+    """Defaults, then config-file values, then flags."""
     cfg = RunConfig()
     if path:
         try:
@@ -76,15 +73,10 @@ def load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
                     raise ValueError(f"{path}:{lineno}: output_format must be one of {', '.join(OUTPUT_FORMATS)}")
             else:
                 setattr(cfg, key, _int_setting(value, f"{path}:{lineno}: {key}"))
-    env_threads = os.environ.get("HERMAN_LAB_THREADS")
-    if env_threads is not None and getattr(args, "threads", None) is None:
-        cfg.threads = _int_setting(env_threads, "HERMAN_LAB_THREADS")
     for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
-    if cfg.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {cfg.threads}")
     if not 0 <= cfg.seed <= MASK64:  # the coin streams take a 64-bit seed
         raise ValueError(f"seed must lie in 0..2^64-1, got {cfg.seed}")
     return cfg
@@ -119,19 +111,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if config.token_count % 2 == 0:
         raise ValueError("simulation requires an odd token count (odd K)")
     try:
-        steps = montecarlo.run_steps(config, runs, cfg.seed, threads=cfg.threads)
+        steps = montecarlo.run_steps(config, runs, cfg.seed)
     except montecarlo.StepLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        histogram = open(args.histogram, "w") if args.histogram else contextlib.nullcontext()
-    except OSError as exc:
-        raise ValueError(f"cannot write the histogram: {exc}") from None
-    with histogram as handle:
-        _print_record(montecarlo.summarize(steps, cfg.seed).to_record(), cfg.output_format)
-        if handle is not None:
-            hist = montecarlo.step_histogram(steps)
-            handle.write("\n".join(montecarlo.histogram_csv_lines(hist)) + "\n")
+    except MemoryError:
+        raise ValueError(f"--runs {runs} needs more memory for its step counts than can be allocated") from None
+    if args.histogram:  # written and closed before any output, so a failed write prints nothing
+        lines = montecarlo.histogram_csv_lines(montecarlo.step_histogram(steps))
+        try:
+            with open(args.histogram, "w") as handle:
+                handle.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write the histogram: {exc}") from None
+    _print_record(montecarlo.summarize(steps, cfg.seed).to_record(), cfg.output_format)
     return 0
 
 
@@ -390,30 +383,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="herman-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    shared = {
+        "--seed": {"type": int},
+        "--exact-capacity-n": {"type": int},
+        "--float-capacity-n": {"type": int},
+        "--output-format": {"choices": OUTPUT_FORMATS},
+    }
+
+    def common(p, *flags):
+        """--config-file, and those shared flags that the subcommand reads."""
         p.add_argument("--config-file", help="key=value run configuration file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--exact-capacity-n", dest="exact_capacity_n", type=int, default=None)
-        p.add_argument("--float-capacity-n", dest="float_capacity_n", type=int, default=None)
-        p.add_argument("--output-format", dest="output_format", choices=OUTPUT_FORMATS, default=None)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of the stabilization time")
-    common(p_sim)
+    common(p_sim, "--seed", "--output-format")
     p_sim.add_argument("--config", required=True, help='state literal, e.g. "N=9;gaps=3,3,3"')
     p_sim.add_argument("--runs", type=int, default=None)
     p_sim.add_argument("--histogram", help="write a step_count,frequency CSV to this path")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_exact = sub.add_parser("exact", help="exact rational expected stabilization time")
-    common(p_exact)
+    common(p_exact, "--exact-capacity-n", "--float-capacity-n")
     p_exact.add_argument("--config", help="state literal")
     p_exact.add_argument("--sweep", type=int, help="sweep every canonical odd-K state of this ring size")
     p_exact.add_argument("--float", dest="use_float", action="store_true", help="allow the float path beyond the exact capacity")
     p_exact.set_defaults(func=cmd_exact)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    common(p_verify)
+    common(p_verify, "--seed")
     p_verify.add_argument("suite", choices=("drift", "moments", "identities", "kkt", "coupling", "all"))
     p_verify.add_argument("--max-k", dest="max_k", type=int, default=13)
     p_verify.add_argument("--n", type=int, default=12, help="max ring size for random drift states / coupling")
@@ -424,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_opt = sub.add_parser("optimize", help="maximize f3/f5/f over the simplex")
-    common(p_opt)
+    common(p_opt, "--seed", "--output-format")
     p_opt.add_argument("--target", required=True, choices=TARGETS)
     p_opt.add_argument("--k", type=int, required=True)
     p_opt.add_argument("--starts", dest="opt_starts", type=int, default=None)

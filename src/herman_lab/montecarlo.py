@@ -11,7 +11,7 @@ distribution; the cross-check against the position pipeline lives in
 
 Run i consumes only the stream derived as stream_key(master_seed, i)
 (see `streams`), so estimates are bit-identical however runs are
-batched or threaded.
+batched.
 
 `run_steps` steps a batch of runs as uint64 arrays, one slot per run,
 and a step allocates nothing: the stream counters advance and are
@@ -43,6 +43,7 @@ from .streams import GOLDEN, MASK64, SCRAMBLE_MULTIPLIERS, SCRAMBLE_SHIFTS, Coin
 
 DEFAULT_STEP_CAP_FACTOR = 100  # cap = factor * N^2; a breach is a bug, not a sample
 COMPACT_DIVISOR = 4  # compact a batch once more than a quarter of its slots are retired
+BATCH_RUNS = 1 << 16  # runs stepped together; any size gives the same step counts
 
 
 class StepLimitError(RuntimeError):
@@ -180,16 +181,8 @@ def _run_batch(occ0: int, n: int, master_seed: int, lo: int, hi: int, cap: int) 
     return steps
 
 
-def run_steps(
-    config: Configuration,
-    runs: int,
-    master_seed: int,
-    *,
-    step_cap: int | None = None,
-    threads: int = 1,
-    batch_size: int = 1 << 16,
-) -> np.ndarray:
-    """Per-run stabilization steps for runs 0..runs-1 (order-independent)."""
+def run_steps(config: Configuration, runs: int, master_seed: int, *, step_cap: int | None = None) -> np.ndarray:
+    """Per-run stabilization steps for runs 0..runs-1, stepped BATCH_RUNS at a time."""
     if config.token_count % 2 == 0:
         raise ValueError("simulation requires an odd token count")
     if runs < 1:
@@ -199,17 +192,10 @@ def run_steps(
         raise ValueError(f"ring size {n} exceeds the {OCCUPANCY_BITS}-process occupancy word of the simulator")
     cap = _default_cap(n, step_cap)
     occ0 = _occupancy(config)
-    bounds = [(lo, min(lo + batch_size, runs)) for lo in range(0, runs, batch_size)]
     out = np.empty(runs, dtype=np.int64)
-    if threads <= 1 or len(bounds) == 1:
-        for lo, hi in bounds:
-            out[lo:hi] = _run_batch(occ0, n, master_seed, lo, hi, cap)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # threads only: not paid by a serial run
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(_run_batch, occ0, n, master_seed, lo, hi, cap): (lo, hi) for lo, hi in bounds}
-            for future, (lo, hi) in futures.items():
-                out[lo:hi] = future.result()
+    for lo in range(0, runs, BATCH_RUNS):
+        hi = min(lo + BATCH_RUNS, runs)
+        out[lo:hi] = _run_batch(occ0, n, master_seed, lo, hi, cap)
     return out
 
 
@@ -228,16 +214,9 @@ def summarize(steps: np.ndarray, master_seed: int) -> SimStats:
     )
 
 
-def estimate(
-    config: Configuration,
-    runs: int,
-    master_seed: int,
-    *,
-    step_cap: int | None = None,
-    threads: int = 1,
-) -> SimStats:
+def estimate(config: Configuration, runs: int, master_seed: int, *, step_cap: int | None = None) -> SimStats:
     """Aggregate `runs` independent simulations, reproducible from the seed."""
-    steps = run_steps(config, runs, master_seed, step_cap=step_cap, threads=threads)
+    steps = run_steps(config, runs, master_seed, step_cap=step_cap)
     return summarize(steps, master_seed)
 
 

@@ -23,22 +23,22 @@ from . import lyapunov
 from .lyapunov import ALPHA, TARGETS, alternating_tuples
 
 ONE_27 = 1.0 / 27.0
+STEP_SIZE = 0.5  # first trial step of each backtracking line search
+TOL_GRAD = 1e-7  # a point is critical once its projected gradient norm is this small
+TOL_INTERIOR = 1e-7  # a point is interior when every coordinate exceeds this
 
 
 @dataclass
 class OptimizerConfig:
     starts: int = 50
     max_iters: int = 400
-    step_size: float = 0.5
-    tol_grad: float = 1e-7
-    tol_interior: float = 1e-7
     seed: int = 0
 
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
-        if self.tol_grad <= 0 or self.tol_interior <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -179,9 +179,9 @@ def _ascend(x0, value_fn, grad_fn, cfg: OptimizerConfig, on_iterate=None):
     for _ in range(cfg.max_iters):
         g = grad_fn(x)
         gnorm = float(np.linalg.norm(g - g.mean()))
-        if gnorm <= cfg.tol_grad:
+        if gnorm <= TOL_GRAD:
             break
-        t = cfg.step_size
+        t = STEP_SIZE
         while t >= 1e-13:  # backtracking: halve the step until f increases
             y = project_to_simplex(x + t * g)
             fy = value_fn(y)
@@ -197,12 +197,7 @@ def _ascend(x0, value_fn, grad_fn, cfg: OptimizerConfig, on_iterate=None):
 
 
 def kkt_report(
-    point,
-    target: str = "f",
-    *,
-    tol_interior: float = 1e-7,
-    grad_norm: float = math.nan,
-    converged: bool = False,
+    point, target: str = "f", *, grad_norm: float = math.nan, converged: bool = False
 ) -> CriticalPointReport:
     """Populate every critical-point diagnostic at `point`.
 
@@ -228,7 +223,7 @@ def kkt_report(
     return CriticalPointReport(
         point=x,
         value=value,
-        interior=min(x) > tol_interior,
+        interior=min(x) > TOL_INTERIOR,
         c_values=c_values,
         second_order=second,
         cor11_lhs=float(cor11),
@@ -240,7 +235,7 @@ def kkt_report(
     )
 
 
-def is_candidate_maximum(report: CriticalPointReport, tol_grad: float = 1e-7) -> bool:
+def is_candidate_maximum(report: CriticalPointReport) -> bool:
     """Whether a converged interior point also passes the second-order test.
 
     The first/second-order conditions and the drop-terms margin are only
@@ -251,7 +246,7 @@ def is_candidate_maximum(report: CriticalPointReport, tol_grad: float = 1e-7) ->
     return (
         report.interior
         and report.converged
-        and max(report.second_order) <= 1.0 / ALPHA + 10 * tol_grad
+        and max(report.second_order) <= 1.0 / ALPHA + 10 * TOL_GRAD
     )
 
 
@@ -296,11 +291,9 @@ def maximize(target: str, k: int, cfg: OptimizerConfig, on_iterate=None) -> Crit
         if best is None or fx > best[1]:
             best = (x, fx, gnorm)
     x, fx, gnorm = best
-    interior = float(x.min()) > cfg.tol_interior
-    converged = gnorm <= cfg.tol_grad or not interior
-    return kkt_report(
-        x, target, tol_interior=cfg.tol_interior, grad_norm=gnorm, converged=converged
-    )
+    interior = float(x.min()) > TOL_INTERIOR
+    converged = gnorm <= TOL_GRAD or not interior
+    return kkt_report(x, target, grad_norm=gnorm, converged=converged)
 
 
 def interior_max_scan(k: int, cfg: OptimizerConfig) -> list[CriticalPointReport]:
@@ -315,10 +308,8 @@ def interior_max_scan(k: int, cfg: OptimizerConfig) -> list[CriticalPointReport]
     reports = []
     for x0 in _start_points(k, cfg):
         x, fx, gnorm = _ascend(x0, value_fn, grad_fn, cfg)
-        if float(x.min()) > cfg.tol_interior and gnorm <= cfg.tol_grad:
-            reports.append(
-                kkt_report(x, "f", tol_interior=cfg.tol_interior, grad_norm=gnorm, converged=True)
-            )
+        if float(x.min()) > TOL_INTERIOR and gnorm <= TOL_GRAD:
+            reports.append(kkt_report(x, "f", grad_norm=gnorm, converged=True))
     reports.sort(key=lambda r: (-r.value, r.point))
     for report in reports:
         if report.value > ONE_27 + 1e-9:
@@ -328,9 +319,7 @@ def interior_max_scan(k: int, cfg: OptimizerConfig) -> list[CriticalPointReport]
     return reports
 
 
-def contradiction_chain_check(
-    point, *, tol_grad: float = 1e-7, tol_interior: float = 1e-7
-) -> ChainReport:
+def contradiction_chain_check(point) -> ChainReport:
     """Evaluate the interior-maximum contradiction chain at a point.
 
     Applicable only to interior points passing the first- and second-order
@@ -345,13 +334,13 @@ def contradiction_chain_check(
     c_spread = max(c_values) - min(c_values)
     c_mean = sum(c_values) / k
     second = [lyapunov.second_order_sum(x, j) for j in range(k)]
-    if min(x) <= tol_interior:
+    if min(x) <= TOL_INTERIOR:
         return ChainReport(k, False, "point is not interior", f_value)
     if f_value <= ONE_27:
         return ChainReport(k, False, "f value does not exceed 1/27", f_value)
-    if c_spread > 10 * tol_grad:
+    if c_spread > 10 * TOL_GRAD:
         return ChainReport(k, False, "first-order condition fails (c not constant)", f_value)
-    if max(second) > 1.0 / ALPHA + 10 * tol_grad:
+    if max(second) > 1.0 / ALPHA + 10 * TOL_GRAD:
         return ChainReport(k, False, "second-order condition fails", f_value)
     f5_value = _value_fn("f5", k)(np.asarray(x))
     denom = (3 * k - 9) / 2 * f_value - (k - 1) / 2 * ALPHA * f5_value
@@ -374,14 +363,12 @@ def alpha_threshold(k: int) -> Fraction:
 _SECOND_STENCIL = (2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0)
 
 
-def gradient_fd_validation(
-    k: int, samples: int, *, seed: int = 0, first_step: float = 1e-5, second_step: float = 1e-2
-) -> float:
+def gradient_fd_validation(k: int, samples: int, *, seed: int = 0) -> float:
     """Max hybrid relative error of (P, Q, R) against finite differences.
 
-    P and Q use plain central differences; R uses the seven-point
-    second-derivative stencil, which is exact for quintic polynomials, so
-    only rounding error remains.  Errors are measured relative to
+    P and Q use plain central differences of step 1e-5; R uses the
+    seven-point second-derivative stencil of step 1e-2, which is exact for
+    quintic polynomials, so only rounding error remains.  Errors are measured relative to
     max(1, |analytic value|).
     """
     if k < 5 or k % 2 == 0:
@@ -401,10 +388,10 @@ def gradient_fd_validation(
         while x.min() < 1e-3:
             x = rng.dirichlet(np.full(k, 5.0))
         p, q, r = lyapunov.derivative_terms(tuple(x))
-        h = first_step
+        h = 1e-5
         fd_p = (f_at(x + h * e0) - f_at(x - h * e0)) / (2 * h)
         fd_q = (f_at(x + h * d) - f_at(x - h * d)) / (2 * h)
-        h2 = second_step
+        h2 = 1e-2
         samples7 = [f_at(x + j * h2 * d) for j in range(-3, 4)]
         second_deriv = sum(c * v for c, v in zip(_SECOND_STENCIL, samples7)) / (180 * h2 * h2)
         fd_r = second_deriv / 2.0

@@ -274,10 +274,6 @@ def parse_configuration(text: str) -> Configuration:
     return config_from_gaps(GapVector(n, values))
 
 
-def format_gap_literal(g: GapVector) -> str:
-    return f"N={g.ring_size};gaps={','.join(str(x) for x in g.gaps)}"
-
-
 def _parse_literal(text: str) -> tuple[int, str, tuple[int, ...]]:
     parts = text.strip().split(";")
     if len(parts) != 2:

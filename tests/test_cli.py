@@ -322,17 +322,6 @@ def test_config_file_rejects_unknown_output_format(tmp_path, capsys):
     assert err.startswith("error:") and "output_format" in err
 
 
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HERMAN_LAB_THREADS", "2")
-    argv = ("simulate", "--config", "N=9;gaps=3,3,3", "--runs", "2000", "--seed", "3")
-    code, out_env, _ = run_cli(capsys, *argv)
-    monkeypatch.delenv("HERMAN_LAB_THREADS")
-    code2, out_plain, _ = run_cli(capsys, *argv)
-    assert code == code2 == 0
-    # thread count never changes output bytes
-    assert out_env == out_plain
-
-
 def test_simulate_rejects_ring_beyond_occupancy_word(capsys):
     code, out, err = run_cli(capsys, "simulate", "--config", "N=65;gaps=21,21,23", "--runs", "10")
     assert code == 2
@@ -372,31 +361,78 @@ def test_exact_sweep_below_three_is_exit_two(n, float_flags, capsys):
 
 
 def test_simulate_bad_histogram_path_fails_before_output(tmp_path, capsys):
-    path = tmp_path / "missing" / "hist.csv"
+    paths = [tmp_path / "missing" / "hist.csv"]
+    if os.path.exists("/dev/full"):  # opens, then fails the write when the file is closed
+        paths.append(Path("/dev/full"))
+    for path in paths:
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10", "--histogram", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write the histogram:") and len(err.strip().splitlines()) == 1
+
+
+def test_simulate_runs_beyond_memory_is_exit_two(capsys, monkeypatch):
+    import numpy as np
+
+    runs = 10**10
+    empty = np.empty
+
+    def refuse_step_counts(shape, *args, **kwargs):
+        if shape == runs:
+            raise MemoryError("unable to allocate the step counts")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse_step_counts)
+    code, out, err = run_cli(capsys, "simulate", "--config", "N=9;gaps=3,3,3", "--runs", str(runs))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --runs") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("max_iters", ["0", "-1"])
+def test_optimize_max_iters_below_one_is_exit_two(max_iters, capsys):
     code, out, err = run_cli(
-        capsys, "simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10", "--histogram", str(path)
+        capsys, "optimize", "--target", "f", "--k", "7", "--starts", "3", "--max-iters", max_iters
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert err == f"error: max_iters must be >= 1, got {max_iters}\n"
 
 
-@pytest.mark.parametrize("source", ["flag", "config_file", "env"])
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_simulate_rejects_threads_below_one(source, threads, tmp_path, capsys, monkeypatch):
-    argv = ["simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10"]
-    if source == "flag":
-        argv += ["--threads", threads]
-    elif source == "config_file":
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"threads={threads}\n")
-        argv += ["--config-file", str(cfg)]
+SHARED_FLAG_COMMANDS = {
+    "simulate": ("simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10"),
+    "exact": ("exact", "--sweep", "7"),
+    "verify": ("verify", "moments", "--max-k", "5"),
+    "optimize": ("optimize", "--target", "f3", "--k", "3", "--starts", "1"),
+}
+# flag -> (a value, the subcommands that read it); no subcommand reads --threads
+SHARED_FLAGS = {
+    "--config-file": (None, tuple(SHARED_FLAG_COMMANDS)),
+    "--seed": ("1", ("simulate", "verify", "optimize")),
+    "--exact-capacity-n": ("9", ("exact",)),
+    "--float-capacity-n": ("9", ("exact",)),
+    "--output-format": ("json", ("simulate", "optimize")),
+    "--threads": ("2", ()),
+}
+
+
+@pytest.mark.parametrize("command", SHARED_FLAG_COMMANDS)
+@pytest.mark.parametrize("flag", SHARED_FLAGS)
+def test_shared_flag_is_accepted_only_where_it_is_read(flag, command, tmp_path, capsys):
+    value, readers = SHARED_FLAGS[flag]
+    if value is None:
+        value = str(tmp_path / "run.cfg")
+        Path(value).write_text("# no settings\n")
+    argv = [*SHARED_FLAG_COMMANDS[command], flag, value]
+    if command in readers:
+        assert run_cli(capsys, *argv)[0] == 0
     else:
-        monkeypatch.setenv("HERMAN_LAB_THREADS", threads)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert "threads" in err
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_config_file_non_integer_names_file_line_and_key(tmp_path, capsys):
@@ -406,14 +442,6 @@ def test_config_file_non_integer_names_file_line_and_key(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: {cfg}:2: seed must be an integer, got 'abc'\n"
-
-
-def test_threads_env_non_integer_names_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv("HERMAN_LAB_THREADS", "x")
-    code, out, err = run_cli(capsys, "simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10")
-    assert code == 2
-    assert out == ""
-    assert err == "error: HERMAN_LAB_THREADS must be an integer, got 'x'\n"
 
 
 @pytest.mark.parametrize(

@@ -46,23 +46,18 @@ def test_simulate_rejects_even_k():
         (64, (13, 13, 13, 13, 12), 60),
         (63, (9,) * 7, 60),
         (64, (9,) * 6 + (10,), 60),
+        (11, (2, 4, 5), 5000),
     ],
     ids=lambda value: None if isinstance(value, int) else f"K{len(value)}",
 )
-def test_scalar_and_vectorized_runs_agree(n, gaps, runs):
+def test_scalar_and_vectorized_runs_agree(n, gaps, runs, monkeypatch):
     # N = 64 fills the uint64 word, so the rotation wraps at bit 63
     config = state(n, gaps)
     scalar = [simulate_once(config, CoinStream.from_seed(42, i)) for i in range(runs)]
     assert run_steps(config, runs, 42).tolist() == scalar
-    batched = run_steps(config, runs, 42, threads=2, batch_size=runs // 3 + 1)
-    assert batched.tolist() == scalar
-
-
-def test_threaded_runs_change_nothing():
-    config = state(11, (2, 4, 5))
-    assert run_steps(config, 5000, 9, threads=4, batch_size=512).tolist() == run_steps(
-        config, 5000, 9
-    ).tolist()
+    # three batches, the last one short: batching changes no step count
+    monkeypatch.setattr(mc, "BATCH_RUNS", runs // 3 + 1)
+    assert run_steps(config, runs, 42).tolist() == scalar
 
 
 def test_estimate_reproducible():

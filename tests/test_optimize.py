@@ -91,8 +91,10 @@ def test_f3_bounded_on_visited_points():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(starts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tol_grad=0)
+    for max_iters in (0, -1):
+        with pytest.raises(ValueError, match="max_iters"):
+            OptimizerConfig(max_iters=max_iters)
+    assert OptimizerConfig(max_iters=1).max_iters == 1
 
 
 # --- kkt reports ------------------------------------------------------------------

@@ -15,7 +15,6 @@ from herman_lab.ring import (
     canonical_rotation,
     config_from_bits,
     config_from_gaps,
-    format_gap_literal,
     gap_vector,
     necklace_key,
     parse_configuration,
@@ -261,7 +260,6 @@ def test_parse_literals():
     assert parse_gap_vector("N=7;tokens=2,3,6").gaps == (3, 1, 3)
     assert parse_configuration("N=7;tokens=2,3,6").positions == (2, 3, 6)
     assert parse_configuration("N=7;gaps=3,1,3").positions == (3, 4, 7)
-    assert format_gap_literal(GapVector(7, (3, 1, 3))) == "N=7;gaps=3,1,3"
 
 
 @pytest.mark.parametrize(
