@@ -13,73 +13,19 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .lyapunov import ALPHA, TARGETS, V, V3, V5
-from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, OCCUPANCY_BITS, CapacityError, GapVector, parse_configuration
-from .ring import parse_gap_vector
+from .ring import OCCUPANCY_BITS, CapacityError, GapVector, parse_configuration, parse_gap_vector
 from .streams import MASK64, CoinStream, stream_key
 
-CONFIG_KEYS = (
-    "seed",
-    "exact_capacity_n",
-    "float_capacity_n",
-    "mc_runs",
-    "opt_starts",
-    "output_format",
-)
 OUTPUT_FORMATS = ("json", "csv")
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    exact_capacity_n: int = EXACT_RING_LIMIT
-    float_capacity_n: int = FLOAT_RING_LIMIT
-    mc_runs: int = 10000
-    opt_starts: int = 50
-    output_format: str = "json"
-
-
-def _int_setting(text: str, name: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {text.strip()!r}") from None
-
-
-def load_run_config(path: str | None, args: argparse.Namespace) -> RunConfig:
-    """Defaults, then config-file values, then flags."""
-    cfg = RunConfig()
-    if path:
-        try:
-            with open(path) as handle:
-                lines = handle.readlines()
-        except OSError as exc:
-            raise ValueError(f"cannot read the config file {path}: {exc.strerror}") from None
-        for lineno, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            key = key.strip()
-            if eq != "=" or key not in CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: bad config line {line!r}")
-            if key == "output_format":
-                cfg.output_format = value.strip()
-                if cfg.output_format not in OUTPUT_FORMATS:
-                    raise ValueError(f"{path}:{lineno}: output_format must be one of {', '.join(OUTPUT_FORMATS)}")
-            else:
-                setattr(cfg, key, _int_setting(value, f"{path}:{lineno}: {key}"))
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, key, flag)
-    if not 0 <= cfg.seed <= MASK64:  # the coin streams take a 64-bit seed
-        raise ValueError(f"seed must lie in 0..2^64-1, got {cfg.seed}")
-    return cfg
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= MASK64:  # the coin streams take a 64-bit seed
+        raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
 
 
 def _print_record(record: dict, fmt: str) -> None:
@@ -103,20 +49,19 @@ def _frac_str(value: Fraction) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from . import montecarlo
-    cfg = load_run_config(args.config_file, args)
+    _check_seed(args.seed)
     config = parse_configuration(args.config)
-    runs = args.runs if args.runs is not None else cfg.mc_runs
-    if runs < 1:
+    if args.runs < 1:
         raise ValueError("--runs must be >= 1")
     if config.token_count % 2 == 0:
         raise ValueError("simulation requires an odd token count (odd K)")
     try:
-        steps = montecarlo.run_steps(config, runs, cfg.seed)
+        steps = montecarlo.run_steps(config, args.runs, args.seed)
     except montecarlo.StepLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
-        raise ValueError(f"--runs {runs} needs more memory for its step counts than can be allocated") from None
+        raise ValueError(f"--runs {args.runs} needs more memory for its step counts than can be allocated") from None
     if args.histogram:  # written and closed before any output, so a failed write prints nothing
         lines = montecarlo.histogram_csv_lines(montecarlo.step_histogram(steps))
         try:
@@ -124,13 +69,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 handle.write("\n".join(lines) + "\n")
         except OSError as exc:
             raise ValueError(f"cannot write the histogram: {exc}") from None
-    _print_record(montecarlo.summarize(steps, cfg.seed).to_record(), cfg.output_format)
+    _print_record(montecarlo.summarize(steps, args.seed).to_record(), args.output_format)
     return 0
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
     from . import markov
-    cfg = load_run_config(args.config_file, args)
     if (args.config is None) == (args.sweep is None):
         raise ValueError("provide exactly one of --config or --sweep")
     if args.config is not None:
@@ -138,19 +82,19 @@ def cmd_exact(args: argparse.Namespace) -> int:
         if g.token_count % 2 == 0:
             raise ValueError("expected time requires an odd token count (odd K)")
         try:
-            print(_frac_str(markov.expected_time_exact(g, max_ring=cfg.exact_capacity_n)))
+            print(_frac_str(markov.expected_time_exact(g, max_ring=args.exact_capacity_n)))
         except CapacityError:
             if not args.use_float:
                 raise
-            print(repr(markov.expected_time_float(g, max_ring=cfg.float_capacity_n)))
+            print(repr(markov.expected_time_float(g, max_ring=args.float_capacity_n)))
         return 0
     n = args.sweep
     try:
-        rows = markov.sweep_rows(n, max_ring=cfg.exact_capacity_n)
+        rows = markov.sweep_rows(n, max_ring=args.exact_capacity_n)
     except CapacityError:
         if not args.use_float:
             raise
-        return _float_sweep(n, cfg)
+        return _float_sweep(n, args.float_capacity_n)
     print(markov.SWEEP_CSV_HEADER)
     for row in rows:
         print(markov.sweep_csv_line(row))
@@ -168,10 +112,10 @@ def cmd_exact(args: argparse.Namespace) -> int:
     return 0 if verdict["verdict"] == "PASS" else 1
 
 
-def _float_sweep(n: int, cfg: RunConfig) -> int:
+def _float_sweep(n: int, max_ring: int | None) -> int:
     from . import markov
     bound = float(markov.theorem1_bound(n))
-    values = markov.solve_all_float(n, max_ring=cfg.float_capacity_n)
+    values = markov.solve_all_float(n, max_ring=max_ring)
     print(markov.SWEEP_CSV_HEADER)
     worst = (None, -1.0)
     ok = True
@@ -196,7 +140,7 @@ def _random_gap_state(rng_stream: CoinStream, k: int, n: int) -> GapVector:
     return GapVector(n, tuple(b - a for a, b in zip(points, points[1:])))
 
 
-def _verify_drift(args, cfg: RunConfig, emit) -> tuple[int, int]:
+def _verify_drift(args, emit) -> tuple[int, int]:
     from . import markov
     alpha = args.alpha if args.alpha is not None else ALPHA
     total = failures = 0
@@ -209,7 +153,7 @@ def _verify_drift(args, cfg: RunConfig, emit) -> tuple[int, int]:
 
     alpha_ok = alpha == 24
     record("alpha_constant_24", None, 1, 0 if alpha_ok else 1)
-    stream = CoinStream(stream_key(cfg.seed, 977))
+    stream = CoinStream(stream_key(args.seed, 977))
     for k in (3, 5, 7, 9):
         if k + 1 > args.n:
             continue
@@ -283,10 +227,10 @@ def _verify_identities(args, emit) -> tuple[int, int]:
     return total, failures
 
 
-def _verify_kkt(args, cfg: RunConfig, emit) -> tuple[int, int]:
+def _verify_kkt(args, emit) -> tuple[int, int]:
     from . import optimize
     total = failures = 0
-    opt_cfg = optimize.OptimizerConfig(starts=cfg.opt_starts, seed=cfg.seed)
+    opt_cfg = optimize.OptimizerConfig(starts=args.opt_starts, seed=args.seed)
     for k in (5, 7, 9):
         if k > args.max_k:
             continue
@@ -302,7 +246,7 @@ def _verify_kkt(args, cfg: RunConfig, emit) -> tuple[int, int]:
         emit({"suite": "kkt", "check": "interior_scan", "K": k, "interior_points": len(reports), "violations": bad, "pass": bad == 0})
         emit({"suite": "kkt", "check": "alpha_threshold", "K": k, "threshold": _frac_str(threshold), "pass": thr_ok})
         emit({"suite": "kkt", "check": "contradiction_chain", "K": k, "applicable": sum(c.applicable for c in chains), "pass": chain_bad == 0})
-        err = optimize.gradient_fd_validation(k, args.samples, seed=cfg.seed)
+        err = optimize.gradient_fd_validation(k, args.samples, seed=args.seed)
         total += 1
         ok = bool(err <= 1e-6)
         failures += 0 if ok else 1
@@ -310,7 +254,7 @@ def _verify_kkt(args, cfg: RunConfig, emit) -> tuple[int, int]:
     return total, failures
 
 
-def _verify_coupling(args, cfg: RunConfig, emit) -> tuple[int, int]:
+def _verify_coupling(args, emit) -> tuple[int, int]:
     from . import montecarlo
     total = failures = 0
     exhaustive = montecarlo.exhaustive_coupling(3)
@@ -318,7 +262,7 @@ def _verify_coupling(args, cfg: RunConfig, emit) -> tuple[int, int]:
     failures += 0 if exhaustive.passed else 1
     emit({"suite": "coupling", "check": "exhaustive_n3", "cases": exhaustive.runs, "pass": exhaustive.passed})
     for n in range(3, args.n + 1, 2):
-        result = montecarlo.coupled_equivalence(n, args.runs, cfg.seed)
+        result = montecarlo.coupled_equivalence(n, args.runs, args.seed)
         total += 1
         failures += 0 if result.passed else 1
         emit({"suite": "coupling", "check": "trajectories", "N": n, "runs": args.runs, "pass": result.passed, "failure": result.failure})
@@ -326,7 +270,7 @@ def _verify_coupling(args, cfg: RunConfig, emit) -> tuple[int, int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config_file, args)
+    _check_seed(args.seed)
     # below these a suite runs no check; N = 4 is the smallest ring with a 3-token drift state
     least = {"samples": 1, "runs": 1, "n": 4}
     if args.suite in ("moments", "identities", "kkt", "all"):
@@ -340,11 +284,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--n must be <= {OCCUPANCY_BITS} for verify {args.suite}, got {args.n}")
     emit = lambda record: print(json.dumps(record))
     suites = {
-        "drift": lambda: _verify_drift(args, cfg, emit),
+        "drift": lambda: _verify_drift(args, emit),
         "moments": lambda: _verify_moments(args, emit),
         "identities": lambda: _verify_identities(args, emit),
-        "kkt": lambda: _verify_kkt(args, cfg, emit),
-        "coupling": lambda: _verify_coupling(args, cfg, emit),
+        "kkt": lambda: _verify_kkt(args, emit),
+        "coupling": lambda: _verify_coupling(args, emit),
     }
     names = list(suites) if args.suite == "all" else [args.suite]
     grand_total = grand_failures = 0
@@ -359,12 +303,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     from . import optimize
-    cfg = load_run_config(args.config_file, args)
-    opt_cfg = optimize.OptimizerConfig(
-        starts=cfg.opt_starts, seed=cfg.seed, max_iters=args.max_iters
-    )
+    _check_seed(args.seed)
+    opt_cfg = optimize.OptimizerConfig(starts=args.opt_starts, seed=args.seed, max_iters=args.max_iters)
     report = optimize.maximize(args.target, args.k, opt_cfg)
-    _print_record(report.to_record(), cfg.output_format)
+    _print_record(report.to_record(), args.output_format)
     if args.target == "f":
         ok = report.value <= optimize.ONE_27 + 1e-9
         verdict = {
@@ -383,23 +325,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="herman-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    shared = {
-        "--seed": {"type": int},
+    shared = {  # a capacity left unset is markov's default limit
+        "--seed": {"type": int, "default": 0},
         "--exact-capacity-n": {"type": int},
         "--float-capacity-n": {"type": int},
-        "--output-format": {"choices": OUTPUT_FORMATS},
+        "--output-format": {"choices": OUTPUT_FORMATS, "default": "json"},
     }
 
     def common(p, *flags):
-        """--config-file, and those shared flags that the subcommand reads."""
-        p.add_argument("--config-file", help="key=value run configuration file")
+        """The shared flags that the subcommand reads."""
         for flag in flags:
             p.add_argument(flag, **shared[flag])
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of the stabilization time")
     common(p_sim, "--seed", "--output-format")
     p_sim.add_argument("--config", required=True, help='state literal, e.g. "N=9;gaps=3,3,3"')
-    p_sim.add_argument("--runs", type=int, default=None)
+    p_sim.add_argument("--runs", type=int, default=10000)
     p_sim.add_argument("--histogram", help="write a step_count,frequency CSV to this path")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -418,14 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=50)
     p_verify.add_argument("--runs", type=int, default=200, help="coupling trajectories per ring size")
     p_verify.add_argument("--alpha", type=int, default=None, help="fault-injection hook: corrupt the f5 coefficient")
-    p_verify.add_argument("--opt-starts", dest="opt_starts", type=int, default=None)
+    p_verify.add_argument("--opt-starts", type=int, default=50)
     p_verify.set_defaults(func=cmd_verify)
 
     p_opt = sub.add_parser("optimize", help="maximize f3/f5/f over the simplex")
     common(p_opt, "--seed", "--output-format")
     p_opt.add_argument("--target", required=True, choices=TARGETS)
     p_opt.add_argument("--k", type=int, required=True)
-    p_opt.add_argument("--starts", dest="opt_starts", type=int, default=None)
+    p_opt.add_argument("--starts", dest="opt_starts", type=int, default=50)
     p_opt.add_argument("--max-iters", dest="max_iters", type=int, default=400)
     p_opt.set_defaults(func=cmd_optimize)
     return parser

@@ -97,8 +97,6 @@ def _check_word(n: int) -> None:
         raise CapacityError(f"ring size {n} exceeds the {OCCUPANCY_BITS}-process occupancy word")
 
 
-# pure, so memoized: `successor_distribution` over N = 13's 316 states, 0.20 s cached, 0.24 s not (2-CPU Xeon)
-@lru_cache(maxsize=65536)
 def _necklace_gaps(n: int, key: int) -> tuple[int, ...]:
     """Canonical gap vector of a successor key from `_successor_counts`.
 
@@ -106,10 +104,7 @@ def _necklace_gaps(n: int, key: int) -> tuple[int, ...]:
     token) and g-1 set bits, so the least rotation of the key starts at a
     token and spells the lexicographically least rotation of the gaps.
     """
-    tokens = [b for b in range(n - 1, -1, -1) if not key >> b & 1]
-    if not tokens:
-        return ()
-    return tuple(a - b for a, b in zip(tokens, tokens[1:])) + (tokens[-1] + n - tokens[0],)
+    return tuple(len(run) + 1 for run in format(key, f"0{n}b").split("0")[1:])
 
 
 def _token_bits(n: int, gaps: np.ndarray) -> np.ndarray:

@@ -83,17 +83,6 @@ class ChainReport:
     c_mean: float | None = None
     c_spread: float | None = None
 
-    def to_record(self) -> dict:
-        return {
-            "K": self.K,
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "f_value": self.f_value,
-            "implied_alpha_bound": self.implied_alpha_bound,
-            "c_mean": self.c_mean,
-            "c_spread": self.c_spread,
-        }
-
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum x = 1} (sort-based)."""
@@ -214,7 +203,7 @@ def kkt_report(
         (k - i - 2) / 2 * lyapunov.scalar_rotation_product(x, i) for i in range(1, k - 2, 2)
     )
     margin = min(
-        _lemma14_margin(x, shift, i1) for shift in range(k) for i1 in range(1, k, 2)
+        _lemma14_margin(x, c_values[shift], shift, i1) for shift in range(k) for i1 in range(1, k, 2)
     )
     f_value = _value_fn("f", k)(np.asarray(x))
     lemma12 = None
@@ -250,29 +239,25 @@ def is_candidate_maximum(report: CriticalPointReport) -> bool:
     )
 
 
-def _lemma14_margin(x, shift: int, i1: int) -> float:
+def _lemma14_margin(x, c_shift: float, shift: int, i1: int) -> float:
     """Full-minus-truncated critical expression times x_0 x_{i1}, shifted.
 
-    Dropping the terms absent from f3/f5 can only lower the product at an
-    interior local maximum; the margin is the amount dropped.
+    The full expression is `c_shift`, the c value at `shift`; the truncated
+    one keeps only its terms with i2 > i1.  Dropping the terms absent from
+    f3/f5 can only lower the product at an interior local maximum; the
+    margin is the amount dropped.
     """
     k = len(x)
 
     def at(i):
         return x[(i + shift) % k]
 
-    lead = at(0) * at(i1)
-    full_lin = sum(at(i2) for i2 in range(2, k, 2))
     tail_lin = sum(at(i2) for i2 in range(i1 + 1, k, 2))
-    full_cub = 0.0
     tail_cub = 0.0
     for i2, i3, i4 in alternating_tuples(k, 3):
-        if i2 >= 2 and i2 % 2 == 0:
-            term = at(i2) * at(i3) * at(i4)
-            full_cub += term
-            if i2 > i1:
-                tail_cub += term
-    return lead * ((full_lin - ALPHA * full_cub) - (tail_lin - ALPHA * tail_cub))
+        if i2 > i1 and i2 % 2 == 0:
+            tail_cub += at(i2) * at(i3) * at(i4)
+    return at(0) * at(i1) * (c_shift - (tail_lin - ALPHA * tail_cub))
 
 
 def maximize(target: str, k: int, cfg: OptimizerConfig, on_iterate=None) -> CriticalPointReport:

@@ -64,9 +64,6 @@ class SparsePolynomial:
             return NotImplemented
         return self.num_vars == other.num_vars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
-
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         if self.num_vars != other.num_vars:
             raise ValueError("polynomials live in different variable spaces")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from herman_lab.cli import main
+from herman_lab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -263,65 +263,6 @@ def test_optimize_unknown_target_exits_two():
     assert info.value.code == 2
 
 
-def test_config_file_and_flag_precedence(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed=5\nmc_runs=100\n# comment\noutput_format=json\n")
-    code, out1, _ = run_cli(
-        capsys, "simulate", "--config", "N=9;gaps=3,3,3", "--config-file", str(cfg)
-    )
-    assert code == 0
-    assert json.loads(out1)["runs"] == 100 and json.loads(out1)["seed"] == 5
-    # flags override file values
-    code, out2, _ = run_cli(
-        capsys,
-        "simulate",
-        "--config",
-        "N=9;gaps=3,3,3",
-        "--config-file",
-        str(cfg),
-        "--seed",
-        "6",
-        "--runs",
-        "50",
-    )
-    assert json.loads(out2)["seed"] == 6 and json.loads(out2)["runs"] == 50
-
-
-def test_config_file_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("bogus=1\n")
-    code, _, err = run_cli(
-        capsys, "simulate", "--config", "N=9;gaps=3,3,3", "--config-file", str(cfg)
-    )
-    assert code == 2
-
-
-@pytest.mark.parametrize("subcommand", [
-    ("simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10"),
-    ("exact", "--config", "N=9;gaps=3,3,3"),
-    ("verify", "moments", "--max-k", "5"),
-    ("optimize", "--target", "f3", "--k", "5"),
-])
-@pytest.mark.parametrize("target", ["missing", "directory"])
-def test_unreadable_config_file_is_exit_two(subcommand, target, tmp_path, capsys):
-    path = tmp_path / "missing.cfg" if target == "missing" else tmp_path
-    code, out, err = run_cli(capsys, *subcommand, "--config-file", str(path))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and str(path) in err and len(err.strip().splitlines()) == 1
-
-
-def test_config_file_rejects_unknown_output_format(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("output_format=xml\n")
-    code, out, err = run_cli(
-        capsys, "simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10", "--config-file", str(cfg)
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "output_format" in err
-
-
 def test_simulate_rejects_ring_beyond_occupancy_word(capsys):
     code, out, err = run_cli(capsys, "simulate", "--config", "N=65;gaps=21,21,23", "--runs", "10")
     assert code == 2
@@ -401,15 +342,29 @@ def test_optimize_max_iters_below_one_is_exit_two(max_iters, capsys):
     assert err == f"error: max_iters must be >= 1, got {max_iters}\n"
 
 
+def test_defaults_are_the_parser_defaults(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--config", "N=9;gaps=3,3,3")
+    assert code == 0
+    record = json.loads(out)
+    assert (record["runs"], record["seed"]) == (10000, 0)
+    optimize = ("optimize", "--target", "f3", "--k", "3")
+    bare = run_cli(capsys, *optimize)
+    assert bare[0] == 0
+    assert bare == run_cli(capsys, *optimize, "--starts", "50", "--seed", "0", "--output-format", "json")
+    # the optimizer's best point rarely depends on the start count, so read it off the parser
+    parser = build_parser()
+    assert parser.parse_args(optimize).opt_starts == parser.parse_args(["verify", "kkt"]).opt_starts == 50
+
+
 SHARED_FLAG_COMMANDS = {
     "simulate": ("simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10"),
     "exact": ("exact", "--sweep", "7"),
     "verify": ("verify", "moments", "--max-k", "5"),
     "optimize": ("optimize", "--target", "f3", "--k", "3", "--starts", "1"),
 }
-# flag -> (a value, the subcommands that read it); no subcommand reads --threads
+# flag -> (a value, the subcommands that read it); no subcommand reads --config-file or --threads
 SHARED_FLAGS = {
-    "--config-file": (None, tuple(SHARED_FLAG_COMMANDS)),
+    "--config-file": ("run.cfg", ()),
     "--seed": ("1", ("simulate", "verify", "optimize")),
     "--exact-capacity-n": ("9", ("exact",)),
     "--float-capacity-n": ("9", ("exact",)),
@@ -420,11 +375,8 @@ SHARED_FLAGS = {
 
 @pytest.mark.parametrize("command", SHARED_FLAG_COMMANDS)
 @pytest.mark.parametrize("flag", SHARED_FLAGS)
-def test_shared_flag_is_accepted_only_where_it_is_read(flag, command, tmp_path, capsys):
+def test_shared_flag_is_accepted_only_where_it_is_read(flag, command, capsys):
     value, readers = SHARED_FLAGS[flag]
-    if value is None:
-        value = str(tmp_path / "run.cfg")
-        Path(value).write_text("# no settings\n")
     argv = [*SHARED_FLAG_COMMANDS[command], flag, value]
     if command in readers:
         assert run_cli(capsys, *argv)[0] == 0
@@ -433,15 +385,6 @@ def test_shared_flag_is_accepted_only_where_it_is_read(flag, command, tmp_path, 
             main(argv)
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-
-def test_config_file_non_integer_names_file_line_and_key(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# run settings\nseed=abc\n")
-    code, out, err = run_cli(capsys, "simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10", "--config-file", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {cfg}:2: seed must be an integer, got 'abc'\n"
 
 
 @pytest.mark.parametrize(
@@ -454,15 +397,8 @@ def test_config_file_non_integer_names_file_line_and_key(tmp_path, capsys):
     ids=lambda argv: argv[0],
 )
 @pytest.mark.parametrize("seed", ["-5", "-1", str(2**64), "36893488147419103227"])
-@pytest.mark.parametrize("source", ["flag", "config_file"])
-def test_seed_outside_64_bits_is_exit_two(argv, seed, source, tmp_path, capsys):
-    if source == "flag":
-        argv += ("--seed", seed)
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"seed={seed}\n")
-        argv += ("--config-file", str(cfg))
-    code, out, err = run_cli(capsys, *argv)
+def test_seed_outside_64_bits_is_exit_two(argv, seed, capsys):
+    code, out, err = run_cli(capsys, *argv, "--seed", seed)
     assert code == 2
     assert out == ""
     assert err == f"error: seed must lie in 0..2^64-1, got {seed}\n"
@@ -485,7 +421,8 @@ def test_reader_closing_the_pipe_after_one_line_ends_quietly():
     proc = _cli_process(["exact", "--sweep", "15", "--exact-capacity-n", "15"], subprocess.PIPE)
     assert proc.stdout.readline() == b"N,K,gaps,expected_time,bound,pass\n"
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=120) == 1
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
@@ -496,6 +433,7 @@ def test_pipe_closed_before_the_first_write_ends_quietly():
     os.close(read_end)
     proc = _cli_process(["verify", "moments", "--max-k", "6"], write_end)
     os.close(write_end)
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=120) == 1
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
