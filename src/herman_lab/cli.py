@@ -140,19 +140,14 @@ def _random_gap_state(rng_stream: CoinStream, k: int, n: int) -> GapVector:
     return GapVector(n, tuple(b - a for a, b in zip(points, points[1:])))
 
 
-def _verify_drift(args, emit) -> tuple[int, int]:
+def _verify_drift(args):
     from . import markov
     alpha = args.alpha if args.alpha is not None else ALPHA
-    total = failures = 0
 
     def record(check, k, states, fails):
-        nonlocal total, failures
-        total += 1
-        failures += 1 if fails else 0
-        emit({"suite": "drift", "check": check, "K": k, "states": states, "failures": fails, "pass": fails == 0})
+        return {"suite": "drift", "check": check, "K": k, "states": states, "failures": fails, "pass": fails == 0}
 
-    alpha_ok = alpha == 24
-    record("alpha_constant_24", None, 1, 0 if alpha_ok else 1)
+    yield record("alpha_constant_24", None, 1, 0 if alpha == 24 else 1)
     stream = CoinStream(stream_key(args.seed, 977))
     for k in (3, 5, 7, 9):
         if k + 1 > args.n:
@@ -174,31 +169,16 @@ def _verify_drift(args, emit) -> tuple[int, int]:
                     fails["prop17"] += 1
         checks = ("lemma3", "lemma6", "v_identity") + (("lemma8", "prop17") if k >= 5 else ())
         for check in checks:
-            record(check, k, args.samples, fails[check])
-    return total, failures
+            yield record(check, k, args.samples, fails[check])
 
 
-def _verify_moments(args, emit) -> tuple[int, int]:
+def _verify_moments(args):
     from . import markov
-    total = failures = 0
     for k in range(3, min(args.max_k, 11) + 1, 2):
-        eq12_cases = eq12_fails = 0
-        for start in range(k):
-            for length in range(1, k + 1):
-                idx = [(start + j) % k for j in range(length)]
-                eq12_cases += 1
-                if markov.delta_moment(k, idx) != markov.moment_formula(k, idx):
-                    eq12_fails += 1
-        eq13_cases = eq13_fails = 0
-        for idx in _two_block_splits(k):
-            eq13_cases += 1
-            if markov.delta_moment(k, idx) != markov.moment_formula(k, idx):
-                eq13_fails += 1
-        total += 2
-        failures += (1 if eq12_fails else 0) + (1 if eq13_fails else 0)
-        emit({"suite": "moments", "check": "eq12_blocks", "K": k, "cases": eq12_cases, "failures": eq12_fails, "pass": eq12_fails == 0})
-        emit({"suite": "moments", "check": "eq13_two_blocks", "K": k, "cases": eq13_cases, "failures": eq13_fails, "pass": eq13_fails == 0})
-    return total, failures
+        blocks = [[(start + j) % k for j in range(length)] for start in range(k) for length in range(1, k + 1)]
+        for check, cases in (("eq12_blocks", blocks), ("eq13_two_blocks", _two_block_splits(k))):
+            fails = sum(markov.delta_moment(k, idx) != markov.moment_formula(k, idx) for idx in cases)
+            yield {"suite": "moments", "check": check, "K": k, "cases": len(cases), "failures": fails, "pass": fails == 0}
 
 
 def _two_block_splits(k: int) -> list[list[int]]:
@@ -208,9 +188,8 @@ def _two_block_splits(k: int) -> list[list[int]]:
     return [list(idx) for idx in subsets if len(markov._cyclic_blocks(k, idx)) == 2]
 
 
-def _verify_identities(args, emit) -> tuple[int, int]:
+def _verify_identities(args):
     from . import polynomials
-    total = failures = 0
     for k in range(5, args.max_k + 1, 2):
         checks = [
             polynomials.check_continuity(k),
@@ -221,15 +200,11 @@ def _verify_identities(args, emit) -> tuple[int, int]:
             polynomials.check_c_rotation_sum(k),
         ]
         for check in checks:
-            total += 1
-            failures += 0 if check.ok else 1
-            emit({"suite": "identities", **json.loads(check.to_json())})
-    return total, failures
+            yield {"suite": "identities", **json.loads(check.to_json())}
 
 
-def _verify_kkt(args, emit) -> tuple[int, int]:
+def _verify_kkt(args):
     from . import optimize
-    total = failures = 0
     opt_cfg = optimize.OptimizerConfig(starts=args.opt_starts, seed=args.seed)
     for k in (5, 7, 9):
         if k > args.max_k:
@@ -240,33 +215,20 @@ def _verify_kkt(args, emit) -> tuple[int, int]:
         chain_bad = sum(1 for c in chains if c.applicable and (c.implied_alpha_bound or 0) >= 24)
         threshold = optimize.alpha_threshold(k)
         expected = Fraction(216 * (k - 1), 23 * k - 71)
-        thr_ok = threshold == expected
-        total += 3
-        failures += (1 if bad else 0) + (0 if thr_ok else 1) + (1 if chain_bad else 0)
-        emit({"suite": "kkt", "check": "interior_scan", "K": k, "interior_points": len(reports), "violations": bad, "pass": bad == 0})
-        emit({"suite": "kkt", "check": "alpha_threshold", "K": k, "threshold": _frac_str(threshold), "pass": thr_ok})
-        emit({"suite": "kkt", "check": "contradiction_chain", "K": k, "applicable": sum(c.applicable for c in chains), "pass": chain_bad == 0})
+        yield {"suite": "kkt", "check": "interior_scan", "K": k, "interior_points": len(reports), "violations": bad, "pass": bad == 0}
+        yield {"suite": "kkt", "check": "alpha_threshold", "K": k, "threshold": _frac_str(threshold), "pass": threshold == expected}
+        yield {"suite": "kkt", "check": "contradiction_chain", "K": k, "applicable": sum(c.applicable for c in chains), "pass": chain_bad == 0}
         err = optimize.gradient_fd_validation(k, args.samples, seed=args.seed)
-        total += 1
-        ok = bool(err <= 1e-6)
-        failures += 0 if ok else 1
-        emit({"suite": "kkt", "check": "derivative_fd", "K": k, "max_rel_err": err, "pass": ok})
-    return total, failures
+        yield {"suite": "kkt", "check": "derivative_fd", "K": k, "max_rel_err": err, "pass": bool(err <= 1e-6)}
 
 
-def _verify_coupling(args, emit) -> tuple[int, int]:
+def _verify_coupling(args):
     from . import montecarlo
-    total = failures = 0
     exhaustive = montecarlo.exhaustive_coupling(3)
-    total += 1
-    failures += 0 if exhaustive.passed else 1
-    emit({"suite": "coupling", "check": "exhaustive_n3", "cases": exhaustive.runs, "pass": exhaustive.passed})
+    yield {"suite": "coupling", "check": "exhaustive_n3", "cases": exhaustive.runs, "pass": exhaustive.passed}
     for n in range(3, args.n + 1, 2):
         result = montecarlo.coupled_equivalence(n, args.runs, args.seed)
-        total += 1
-        failures += 0 if result.passed else 1
-        emit({"suite": "coupling", "check": "trajectories", "N": n, "runs": args.runs, "pass": result.passed, "failure": result.failure})
-    return total, failures
+        yield {"suite": "coupling", "check": "trajectories", "N": n, "runs": args.runs, "pass": result.passed, "failure": result.failure}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -282,22 +244,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # drift and coupling step rings of up to --n processes as occupancy words
     if args.suite in ("drift", "coupling", "all") and args.n > OCCUPANCY_BITS:
         raise ValueError(f"--n must be <= {OCCUPANCY_BITS} for verify {args.suite}, got {args.n}")
-    emit = lambda record: print(json.dumps(record))
     suites = {
-        "drift": lambda: _verify_drift(args, emit),
-        "moments": lambda: _verify_moments(args, emit),
-        "identities": lambda: _verify_identities(args, emit),
-        "kkt": lambda: _verify_kkt(args, emit),
-        "coupling": lambda: _verify_coupling(args, emit),
+        "drift": _verify_drift,
+        "moments": _verify_moments,
+        "identities": _verify_identities,
+        "kkt": _verify_kkt,
+        "coupling": _verify_coupling,
     }
     names = list(suites) if args.suite == "all" else [args.suite]
     grand_total = grand_failures = 0
     for name in names:
-        total, failures = suites[name]()
+        total = failures = 0
+        for record in suites[name](args):  # each suite yields one record per check
+            print(json.dumps(record))
+            total += 1
+            failures += not record["pass"]
+        print(json.dumps({"suite": name, "summary": True, "checks": total, "failures": failures, "pass": failures == 0}))
         grand_total += total
         grand_failures += failures
-        emit({"suite": name, "summary": True, "checks": total, "failures": failures, "pass": failures == 0})
-    emit({"summary": True, "checks": grand_total, "failures": grand_failures, "pass": grand_failures == 0})
+    print(json.dumps({"summary": True, "checks": grand_total, "failures": grand_failures, "pass": grand_failures == 0}))
     return 0 if grand_failures == 0 else 1
 
 

@@ -570,17 +570,6 @@ class SweepRow:
     def passed(self) -> bool:
         return self.expected_time <= self.bound
 
-    def to_record(self) -> dict:
-        return {
-            "N": self.n,
-            "gaps": list(self.gaps),
-            "expected_time_num": self.expected_time.numerator,
-            "expected_time_den": self.expected_time.denominator,
-            "bound_num": self.bound.numerator,
-            "bound_den": self.bound.denominator,
-            "pass": self.passed,
-        }
-
 
 SWEEP_CSV_HEADER = "N,K,gaps,expected_time,bound,pass"
 

@@ -5,9 +5,10 @@ coin word per step: every process gets a fair coin, and a token moves
 clockwise exactly when its process coin is set, which is the original
 bit-flipping formulation of the protocol.  The step is
 `ring.step_occupancy`, the same one the exact chain enumerates.
-Token-mask and process-coin stepping induce the same trajectory
-distribution; the cross-check against the position pipeline lives in
-`coupled_equivalence`.
+`coupled_equivalence` steps Herman's bit flips beside it under shared
+coins and checks that both give the same trajectory word for word; the
+cross-check against the position pipeline (`apply_step`, `bit_step`)
+lives in `exhaustive_coupling`.
 
 Run i consumes only the stream derived as stream_key(master_seed, i)
 (see `streams`), so estimates are bit-identical however runs are
@@ -38,6 +39,7 @@ from .ring import (
     config_from_bits,
     step_occupancy,
     token_positions,
+    token_word,
 )
 from .streams import GOLDEN, MASK64, SCRAMBLE_MULTIPLIERS, SCRAMBLE_SHIFTS, CoinStream
 
@@ -238,40 +240,45 @@ class CouplingResult:
     failure: dict | None = None
 
 
-def coupled_equivalence(n: int, runs: int, master_seed: int) -> CouplingResult:
-    """Run bit-flip and token-passing trajectories under shared coins.
+def _positions(word: int, n: int) -> list[int]:
+    return [p + 1 for p in range(n) if word >> p & 1]
 
-    Each step draws one coin per process; a token's move mask bit is its
-    process coin.  Every intermediate extracted configuration must match
-    the stepped configuration exactly.
+
+def coupled_equivalence(n: int, runs: int, master_seed: int) -> CouplingResult:
+    """Run Herman's bit-flip ring and the occupancy step under shared coins.
+
+    Run i reads stream i: its first coin word is the bit ring, then one
+    word per step.  The bit side flips the bit of every token-holding
+    process whose coin is set; the occupancy side starts at the ring's
+    token word and moves the same tokens with `step_occupancy`.  After
+    every step the token word of the bits must equal the occupancy word.
     """
     if n % 2 == 0:
         raise ValueError("the bit representation needs an odd ring size")
+    if not 3 <= n <= OCCUPANCY_BITS:
+        raise ValueError(f"the coupling needs 3 <= N <= {OCCUPANCY_BITS}, got {n}")
     cap = _default_cap(n, None)
     for run in range(runs):
         stream = CoinStream.from_seed(master_seed, run)
-        word = stream.coin_word(n)
-        bits = BitRing(tuple(bool((word >> i) & 1) for i in range(n)))
-        config = config_from_bits(bits)
+        bits = stream.coin_word(n)
+        occ = tokens = token_word(bits, n)
         steps = 0
-        while config.token_count > 1:
+        while occ.bit_count() > 1:
             if steps >= cap:
                 raise StepLimitError(cap, run_index=run)
             coins = stream.coin_word(n)
-            flips = tuple(bool((coins >> (p - 1)) & 1) for p in token_positions(bits))
-            bits = bit_step(bits, flips)
-            stepped = apply_step(config, flips)
-            extracted = config_from_bits(bits)
-            if extracted != stepped:
+            bits ^= coins & tokens  # Herman's rule: a token-holding process flips its bit on heads
+            occ = step_occupancy(occ, occ & coins, n)
+            tokens = token_word(bits, n)
+            if tokens != occ:
                 failure = {
                     "run": run,
                     "step": steps,
                     "coins": coins,
-                    "expected_positions": list(stepped.positions),
-                    "extracted_positions": list(extracted.positions),
+                    "expected_positions": _positions(occ, n),
+                    "extracted_positions": _positions(tokens, n),
                 }
                 return CouplingResult(False, runs, failure)
-            config = stepped
             steps += 1
     return CouplingResult(True, runs)
 

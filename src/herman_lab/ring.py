@@ -189,6 +189,15 @@ def step_occupancy(occ, moving, n: int, out=None):
     return out
 
 
+def token_word(bits: int, n: int) -> int:
+    """Occupancy word of the n-bit ring `bits` (bit p-1 is process p's bit).
+
+    Process p holds a token iff its bit equals its counterclockwise
+    neighbor's, as in `token_positions`.
+    """
+    return ~(bits ^ _rotl(bits, n)) & ((1 << n) - 1)
+
+
 def necklace_key(mask, n: int):
     """Least of the n cyclic rotations of an n-bit mask: one key per necklace."""
     key = mask

@@ -13,6 +13,11 @@ def random_gaps(rng: random.Random, k: int, n: int) -> GapVector:
     return GapVector(n, tuple(points[i + 1] - points[i] for i in range(k)))
 
 
+def no_annihilation(occ: int, moving: int, n: int) -> int:
+    """`ring.step_occupancy` with OR for XOR: a token landing on a staying one survives."""
+    return (occ & ~moving) | ((moving << 1 | moving >> (n - 1)) & ((1 << n) - 1))
+
+
 def random_simplex_fractions(rng: random.Random, k: int) -> tuple[Fraction, ...]:
     """Exact rational simplex point with a common small denominator."""
     weights = [rng.randint(1, 50) for _ in range(k)]

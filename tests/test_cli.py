@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import no_annihilation
 from herman_lab.cli import build_parser, main
 
 
@@ -207,6 +208,17 @@ def test_verify_drift_fails_with_corrupted_alpha(capsys):
 def test_verify_coupling(capsys):
     code, out, _ = run_cli(capsys, "verify", "coupling", "--n", "5", "--runs", "50")
     assert code == 0
+
+
+def test_verify_coupling_reports_a_broken_step(capsys, monkeypatch):
+    from herman_lab import montecarlo
+
+    monkeypatch.setattr(montecarlo, "step_occupancy", no_annihilation)
+    code, out, _ = run_cli(capsys, "verify", "coupling", "--n", "5", "--runs", "20")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    broken = [r for r in records if r.get("check") == "trajectories" and r["pass"] is False]
+    assert broken and all(r["failure"] is not None for r in broken)
 
 
 @pytest.mark.parametrize(

@@ -555,16 +555,6 @@ def test_lifting_prime_keeps_int64_dot_products_exact(n):
 def test_sweep_rows_schema():
     rows = sweep_rows(6)
     assert all(row.passed for row in rows)
-    record = rows[-1].to_record()
-    assert set(record) == {
-        "N",
-        "gaps",
-        "expected_time_num",
-        "expected_time_den",
-        "bound_num",
-        "bound_den",
-        "pass",
-    }
     assert all(row.n == 6 and sum(row.gaps) == 6 and row.bound == theorem1_bound(6) for row in rows)
     line = markov.sweep_csv_line(rows[0])
     assert line.startswith("6,1,")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import no_annihilation
 from herman_lab import montecarlo as mc
 from herman_lab.markov import expected_time_exact
 from herman_lab.montecarlo import (
@@ -16,7 +17,7 @@ from herman_lab.montecarlo import (
     step_histogram,
     summarize,
 )
-from herman_lab.ring import Configuration, GapVector, config_from_gaps
+from herman_lab.ring import BitRing, Configuration, GapVector, config_from_gaps, token_positions
 from herman_lab.streams import CoinStream
 
 
@@ -163,6 +164,48 @@ def test_coupling_rejects_even_ring():
         coupled_equivalence(4, 10, 0)
     with pytest.raises(ValueError):
         exhaustive_coupling(4)
+    # odd, but no bit ring (n = 1) or more processes than an occupancy word (n = 65)
+    for n in (1, 65):
+        with pytest.raises(ValueError):
+            coupled_equivalence(n, 10, 0)
+
+
+def _clockwise_tokens(bits, n):
+    """The token word with each bit compared to its clockwise neighbour instead."""
+    return ~(bits ^ (bits >> 1 | bits << (n - 1))) & ((1 << n) - 1)
+
+
+def _assert_caught(result):
+    assert result.passed is False
+    failure = result.failure
+    assert set(failure) == {"run", "step", "coins", "expected_positions", "extracted_positions"}
+    for key in ("expected_positions", "extracted_positions"):
+        assert failure[key] == sorted(failure[key])
+    assert failure["expected_positions"] != failure["extracted_positions"]
+
+
+def test_coupling_catches_an_occupancy_step_without_annihilation(monkeypatch):
+    monkeypatch.setattr(mc, "step_occupancy", no_annihilation)
+    _assert_caught(coupled_equivalence(5, 20, 0))
+
+
+def test_coupling_catches_tokens_read_against_the_wrong_neighbour(monkeypatch):
+    monkeypatch.setattr(mc, "token_word", _clockwise_tokens)
+    _assert_caught(coupled_equivalence(5, 20, 0))
+
+
+def test_coupling_step_cap_names_the_first_run_with_a_step(monkeypatch):
+    # runs 0 and 1 of seed 2 start from a single token, so they take no step
+    n, seed = 5, 2
+    starts = [CoinStream.from_seed(seed, run).coin_word(n) for run in range(20)]
+    counts = [len(token_positions(BitRing(tuple(bool(w >> i & 1) for i in range(n))))) for w in starts]
+    first = next(run for run, count in enumerate(counts) if count > 1)
+    assert first > 0
+    monkeypatch.setattr(mc, "DEFAULT_STEP_CAP_FACTOR", 0)
+    with pytest.raises(StepLimitError) as info:
+        coupled_equivalence(n, 20, seed)
+    assert info.value.run_index == first
+    assert info.value.cap == 0
 
 
 def test_single_token_start_couples_trivially():

@@ -22,6 +22,7 @@ from herman_lab.ring import (
     random_step,
     step_occupancy,
     token_positions,
+    token_word,
 )
 from herman_lab.streams import CoinStream
 
@@ -235,6 +236,14 @@ def test_token_positions_matches_definition():
         i + 1 for i in range(5) if bits.bits[i] == bits.bits[i - 1]
     )
     assert token_positions(bits) == expected
+
+
+@pytest.mark.parametrize("n", (3, 5, 7, 9, 11))
+def test_token_word_matches_token_positions(n):
+    for word in range(1 << n):
+        bits = BitRing(tuple(bool((word >> i) & 1) for i in range(n)))
+        tokens = token_word(word, n)
+        assert tuple(p + 1 for p in range(n) if tokens >> p & 1) == token_positions(bits)
 
 
 # --- canonical rotation and literals -------------------------------------
