@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lyapunov import ALPHA, TARGETS, V, V3, V5
-from .ring import OCCUPANCY_BITS, CapacityError, GapVector, parse_configuration, parse_gap_vector
+from .ring import OCCUPANCY_BITS, CapacityError, GapVector, StepLimitError, parse_configuration, parse_gap_vector
 from .streams import MASK64, CoinStream, stream_key
 
 OUTPUT_FORMATS = ("json", "csv")
@@ -57,9 +57,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("simulation requires an odd token count (odd K)")
     try:
         steps = montecarlo.run_steps(config, args.runs, args.seed)
-    except montecarlo.StepLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MemoryError:
         raise ValueError(f"--runs {args.runs} needs more memory for its step counts than can be allocated") from None
     if args.histogram:  # written and closed before any output, so a failed write prints nothing
@@ -346,6 +343,9 @@ def main(argv=None) -> int:
     except (ValueError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except StepLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # the reader has gone: stop quietly, and let the flush at exit write to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

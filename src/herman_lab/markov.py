@@ -23,13 +23,15 @@ one row per state.
 
 Multiplied by 2^K and by the lcm of the denominators it refers to, a
 block is an integer system: 2^K I minus the mask counts, with an integer
-right-hand side.  It is factored once modulo one prime, the solution is
-lifted p-adically (Dixon) and recovered by rational reconstruction over
-one common denominator.  Every solution is accepted only after an exact
-integer check of every row, which is the original rational system
-multiplied through, with Fraction elimination as the fallback, so the
-fast path cannot silently return a wrong answer.  The float path solves
-the same blocks divided by 2^K.
+right-hand side.  Its float64 inverse, taken once, drives an iterative
+refinement whose residuals are exact integers (Wan 2006; Saunders, Wood
+and Youse 2011), and the solution is recovered from its dyadic
+approximation by continued fractions over one common denominator.  Every
+solution is accepted only after an exact integer check of every row,
+which is the original rational system multiplied through, so the float
+arithmetic cannot silently return a wrong answer; a block that does not
+converge is an ArithmeticError, never an unbounded solve.  The float path
+solves the same blocks divided by 2^K.
 """
 
 from __future__ import annotations
@@ -171,136 +173,24 @@ def enumerate_states(n: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
-def _gauss_fraction(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(rhs)
-    aug = [rows[i] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ArithmeticError("singular hitting-time system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+def _common_denominator(x: np.ndarray, d: int, first: Fraction, q: int, tol: int) -> tuple[list[int], int]:
+    """Numerators over one denominator for the approximations x / 2^d, each within tol / 2^d.
 
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _lifting_primes(n: int) -> Iterator[int]:
-    """Primes in descending order, starting at the largest p with n (p-1)^2 < 2^63.
-
-    Every int64 dot product of length n over residues mod p then stays
-    exact, and so does every entry of the factorization below.
+    `first` is the reconstruction of x[0].  Every other entry is scaled by
+    the denominator found so far; when the product lies within its error
+    of an integer, that integer is the numerator, and only otherwise is the
+    entry reconstructed, as the nearest fraction with denominator at most
+    q, its denominator joining the common one.
     """
-    p = math.isqrt((2**63 - 1) // n) + 1
-    while p > 2:
-        if _is_probable_prime(p):
-            yield p
-        p -= 1
-
-
-def _factor_mod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, list[int]] | None:
-    """Row-pivoted LU of A mod p as (packed L\\U, row order, 1/U[k, k]); None if singular.
-
-    Only the rows below each pivot are updated, and the trailing block is
-    left unreduced: each of its entries loses at most n-1 products below
-    (p-1)^2 from a start in [0, p), which `_lifting_primes` keeps inside
-    int64.  A row or column is reduced when it becomes part of L or U.
-    """
-    n = len(a)
-    lu = a % p
-    order = np.arange(n)
-    inverses = []
-    for k in range(n):
-        col = lu[k:, k] % p
-        nonzero = np.flatnonzero(col)
-        if nonzero.size == 0:
-            return None
-        piv = k + int(nonzero[0])
-        if piv != k:
-            lu[[k, piv]] = lu[[piv, k]]
-            order[[k, piv]] = order[[piv, k]]
-            col[[0, piv - k]] = col[[piv - k, 0]]
-        lu[k, k:] %= p
-        inv = pow(int(col[0]), -1, p)
-        inverses.append(inv)
-        lu[k + 1 :, k] = col[1:] * inv % p
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, order, inverses
-
-
-def _lu_solve_mod_p(factors: tuple[np.ndarray, np.ndarray, list[int]], rhs: np.ndarray, p: int) -> np.ndarray:
-    """x in [0, p)^n with A x = rhs (mod p), from the factors of `_factor_mod_p`."""
-    lu, order, inverses = factors
-    x = rhs[order]
-    for k in range(1, len(x)):
-        x[k] = (int(x[k]) - int(lu[k, :k] @ x[:k])) % p
-    for k in range(len(x) - 1, -1, -1):
-        x[k] = (int(x[k]) - int(lu[k, k + 1 :] @ x[k + 1 :])) % p * inverses[k] % p
-    return x
-
-
-def _rational_reconstruct(a: int, m: int) -> Fraction | None:
-    bound = math.isqrt(m // 2)
-    r0, r1 = m, a % m
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound:
-        return None
-    num = r1 if s1 > 0 else -r1
-    return Fraction(num, abs(s1))
-
-
-def _common_denominator(z: np.ndarray, first: Fraction, m: int) -> tuple[list[int], int] | None:
-    """Numerators over one denominator for the residues z mod m, or None.
-
-    `first` is the reconstruction of z[0].  Every other residue is scaled
-    by the denominator found so far; when the product is a small integer
-    it is the numerator, and only otherwise is it reconstructed, its
-    denominator joining the common one.
-    """
-    bound = math.isqrt(m // 2)
     den = first.denominator
     nums = [first.numerator]
-    for value in z[1:].tolist():
-        t = value * den % m
-        if t > m // 2:
-            t -= m
-        if abs(t) <= bound:
-            nums.append(t)
+    half = (1 << d) >> 1
+    for value in x[1:].tolist():
+        num, rest = divmod(value * den + half, 1 << d)
+        if abs(rest - half) <= den * tol:
+            nums.append(num)
             continue
-        extra = _rational_reconstruct(t, m)
-        if extra is None:
-            return None
+        extra = Fraction(value, 1 << d).limit_denominator(q) * den
         nums = [u * extra.denominator for u in nums]
         nums.append(extra.numerator)
         den *= extra.denominator
@@ -319,52 +209,75 @@ def _verify_solution(a: np.ndarray, b: list[int], nums: list[int], den: int) -> 
 def _solve_integer(a: np.ndarray, b: list[int]) -> list[Fraction]:
     """Exact solution of A z = b for a nonsingular int64 matrix and integer b.
 
-    A is factored once modulo one prime (the next one only if A is
-    singular there) and z is lifted p-adically (Dixon).  After each lift
-    step the first entry is reconstructed (Wang); once it repeats, the
-    whole solution is recovered over one common denominator and accepted
-    only if `_verify_solution` holds for every row.  At the lift bound,
-    p^m > 2 (|b| H)^2 with H the Hadamard bound on det A, reconstruction is
-    guaranteed; a solution that still fails the check falls back to
-    Fraction elimination.  The absolute row sums of A must stay below
-    2^30, so that A times a digit vector stays inside int64; a hitting-time
-    block's are at most 2^(K+1).
+    A float64 inverse F of A is taken once, and iterative refinement with
+    exact residuals does the rest (Wan 2006): integer numerators X over
+    2^D with R = 2^D b - A X, all Python ints.  Each step scales the top 53
+    bits of R to a float vector r and takes the correction c = rint(2^s F r),
+    with s such that |c| < 2^(52 - bitlen ||A||inf).  Every partial sum of
+    A c is then an integer below 2^52, so the float64 matvec computes A c
+    exactly, and c enters X and A c leaves R under one power of two.  The
+    error |z - X / 2^D| is at most ||F||inf |R| / 2^D; the first entry is
+    reconstructed as the nearest fraction whose denominator that error
+    allows, and once it repeats the whole solution is recovered over one
+    common denominator and accepted only if `_verify_solution` holds for
+    every row.  R = 0 makes X / 2^D exact.
+
+    ArithmeticError if A is singular in float64, if a step does not take
+    a bit off the error bound (F is no contraction), or if the check still fails
+    once the precision has passed 2 (bits(b) + log2 H) bits, H the
+    Hadamard bound on det A, beyond which reconstruction cannot miss.
     """
     n = len(b)
     if n == 0:
         return []
+    af = a.astype(np.float64)
+    try:
+        f = np.linalg.inv(af)
+    except np.linalg.LinAlgError:
+        raise ArithmeticError("singular hitting-time system") from None
+    width = 52 - int(np.abs(a).sum(axis=1).max()).bit_length()
+    f_norm = max(1, math.ceil(np.abs(f).sum(axis=1).max()))
     norms = np.sqrt(np.square(a, dtype=np.float64).sum(axis=0))
     det_bits = float(np.log2(np.maximum(norms, 1.0)).sum())
-    tried_bits = 0.0
-    for p in _lifting_primes(n):
-        factors = _factor_mod_p(a, p)
-        if factors is not None:
-            break
-        tried_bits += math.log2(p)
-        if tried_bits > det_bits:  # the product of the primes dividing det A exceeds its bound
-            raise ArithmeticError("singular hitting-time system")
-    b_bits = max(v.bit_length() for v in b) + math.log2(n) / 2
-    last = math.ceil((2 * (b_bits + det_bits) + 1) / math.log2(p))
-    residue = np.array(b, dtype=object)
-    z = np.zeros(n, dtype=object)
-    modulus = 1
+    enough = 2 * (max(v.bit_length() for v in b) + math.log2(n) / 2 + det_bits) + 1
+    x = np.zeros(n, dtype=object)
+    r = np.array(b, dtype=object)
+    r_max, d = max(abs(v) for v in b), 0
     previous = None
-    for step in range(1, last + 1):
-        digits = _lu_solve_mod_p(factors, (residue % p).astype(np.int64), p)
-        z += digits.astype(object) * modulus
-        residue = (residue - a @ digits) // p
-        modulus *= p
-        first = _rational_reconstruct(int(z[0]), modulus)
-        if first is None or (first != previous and step < last):
-            previous = first
-            continue
-        found = _common_denominator(z, first, modulus)
-        if found is not None and _verify_solution(a, b, *found):
+    while True:
+        error_bits = r_max.bit_length() - d  # log2 of the error bound, less log2 ||F||inf
+        drop = max(r_max.bit_length() - 53, 0)
+        y = f @ (r >> drop).astype(np.float64)
+        shift = width - 1 - math.frexp(float(np.abs(y).max()))[1]
+        c = np.rint(np.ldexp(y, shift))
+        ac = (af @ c).astype(np.int64).astype(object)
+        c = c.astype(np.int64).astype(object)
+        shift -= drop
+        if shift >= 0:
+            x, r, d = (x << shift) + c, (r << shift) - ac, d + shift
+        else:
+            x, r = x + (c << -shift), r - (ac << -shift)
+        r_max = max(abs(v) for v in r.tolist())
+        if r_max == 0:
+            found = x.tolist(), 1 << d
+        else:
+            if r_max.bit_length() - d >= error_bits:
+                raise ArithmeticError(f"refinement stopped converging on a {n}-row system")
+            tol = f_norm * r_max
+            q = math.isqrt((1 << d) // (2 * tol + 1))
+            if q < 1:
+                continue
+            first = Fraction(x[0], 1 << d).limit_denominator(q)
+            past = d - tol.bit_length() > enough
+            if first != previous and not past:
+                previous = first
+                continue
+            found = _common_denominator(x, d, first, q, tol)
+        if _verify_solution(a, b, *found):
             nums, den = found
             return [Fraction(u, den) for u in nums]
-    return _gauss_fraction(
-        [[Fraction(v) for v in row] for row in a.tolist()], [Fraction(v) for v in b]
-    )
+        if r_max == 0 or past:
+            raise ArithmeticError(f"no solution of a {n}-row system passed the exact check")
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +388,11 @@ def _solve_states(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int, ...]
         for lo in range(0, len(rows), len(rhs)):
             part = slice(lo, lo + len(rhs))
             np.add.at(rhs, rows[part], counts[part].astype(object) * scaled[cols[part]])
-        for i, value in enumerate(_solve_integer(block.matrix, rhs.tolist()), block.first):
+        try:
+            solution = _solve_integer(block.matrix, rhs.tolist())
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"K={block.k} block: {exc}") from exc
+        for i, value in enumerate(solution, block.first):
             values[i] = value / lcm
     return dict(zip(states, map(values.__getitem__, classes.tolist())))
 

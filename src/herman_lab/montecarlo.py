@@ -34,6 +34,7 @@ from .ring import (
     OCCUPANCY_BITS,
     BitRing,
     Configuration,
+    StepLimitError,
     apply_step,
     bit_step,
     config_from_bits,
@@ -46,14 +47,6 @@ from .streams import GOLDEN, MASK64, SCRAMBLE_MULTIPLIERS, SCRAMBLE_SHIFTS, Coin
 DEFAULT_STEP_CAP_FACTOR = 100  # cap = factor * N^2; a breach is a bug, not a sample
 COMPACT_DIVISOR = 4  # compact a batch once more than a quarter of its slots are retired
 BATCH_RUNS = 1 << 16  # runs stepped together; any size gives the same step counts
-
-
-class StepLimitError(RuntimeError):
-    def __init__(self, cap: int, run_index: int | None = None):
-        self.cap = cap
-        self.run_index = run_index
-        where = f" in run {run_index}" if run_index is not None else ""
-        super().__init__(f"simulation exceeded the {cap}-step cap{where}")
 
 
 @dataclass(frozen=True)

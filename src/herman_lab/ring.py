@@ -30,6 +30,16 @@ class CapacityError(RuntimeError):
     """Raised when a query exceeds the configured ring-size capacity."""
 
 
+class StepLimitError(RuntimeError):
+    """Raised when a simulated run exceeds its step cap, which is a bug, not a sample."""
+
+    def __init__(self, cap: int, run_index: int | None = None):
+        self.cap = cap
+        self.run_index = run_index
+        where = f" in run {run_index}" if run_index is not None else ""
+        super().__init__(f"simulation exceeded the {cap}-step cap{where}")
+
+
 @dataclass(frozen=True, slots=True)
 class Configuration:
     """Token positions z(1) < ... < z(K) on a ring of `ring_size` processes."""

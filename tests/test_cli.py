@@ -128,6 +128,21 @@ def test_simulate_step_cap_is_exit_one(capsys, monkeypatch):
     assert "run 7" in err
 
 
+@pytest.mark.parametrize("suite", ["coupling", "all"])
+def test_verify_step_cap_is_one_error_line(suite, capsys, monkeypatch):
+    from herman_lab import montecarlo
+
+    argv = ["verify", suite, "--n", "5", "--runs", "20", "--max-k", "5", "--samples", "2", "--opt-starts", "2"]
+    code, full, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(montecarlo, "DEFAULT_STEP_CAP_FACTOR", 0)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err == "error: simulation exceeded the 0-step cap in run 6\n"
+    # the records printed before the breach, up to the first coupled trajectory check
+    assert out == full[: full.index('{"suite": "coupling", "check": "trajectories"')]
+
+
 def test_simulate_histogram_file(tmp_path, capsys):
     path = tmp_path / "hist.csv"
     code, _, _ = run_cli(

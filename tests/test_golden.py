@@ -22,7 +22,10 @@ capacity.  Two more were recorded before the exact solve moved onto
 reflection classes: `exact --sweep 16 --exact-capacity-n 16`, and
 `exact --config "N=15;gaps=1,2,3,4,5" --exact-capacity-n 15`, whose seed
 is not its own mirror image, so it is solved over its reachable states.
-An entry whose first two arguments another entry shares names its test
+`exact --sweep 17 --exact-capacity-n 17` was recorded before the block
+solve moved from mod-p lifting onto a float64 inverse with exact integer
+residuals, so the largest blocks the suite solves keep their bytes
+across that change; it runs in about 3 s.  An entry whose first two arguments another entry shares names its test
 `id`.
 """
 

@@ -1,5 +1,7 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations, groupby, islice, product
+from itertools import combinations, groupby, product
 
 import numpy as np
 import pytest
@@ -285,6 +287,24 @@ def test_lumped_table_rows_are_class_summed_successor_counts():
             assert dict(zip(cols[a:b].tolist(), counts[a:b].tolist())) == expected, (n, rep)
 
 
+def _gauss_fraction(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Gauss-Jordan elimination in Fractions: the reference the integer solver is checked against."""
+    n = len(rhs)
+    aug = [rows[i] + [rhs[i]] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ArithmeticError("singular hitting-time system")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
 def necklace_reference(n):
     """E[T] of every state from the unlumped system, one Fraction row per necklace, a token count at a time."""
     values = {}
@@ -302,7 +322,7 @@ def necklace_reference(n):
                     b += Fraction(count, 1 << k) * values[succ]
             rows.append(row)
             rhs.append(b)
-        values.update(zip(block, [Fraction(0)] * len(block) if k == 1 else markov._gauss_fraction(rows, rhs)))
+        values.update(zip(block, [Fraction(0)] * len(block) if k == 1 else _gauss_fraction(rows, rhs)))
     return values
 
 
@@ -450,19 +470,31 @@ def _random_nonsingular(rng, n):
     while True:
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         try:
-            markov._gauss_fraction(*_fraction_system(a, [0] * n))
+            _gauss_fraction(*_fraction_system(a, [0] * n))
         except ArithmeticError:
             continue
         return a
 
 
-def _no_fallback(rows, rhs):
-    raise AssertionError("the lifted solution was not accepted")
+@contextmanager
+def _deadline(seconds):
+    """Fail a solve that has not returned after `seconds`, rather than let it hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"the solve ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
-def test_integer_solver_matches_fraction_elimination(rng, monkeypatch):
+def _random_cases(rng, count):
     cases = []
-    for trial in range(40):
+    for trial in range(count):
         n = rng.randint(1, 8)
         a = _random_nonsingular(rng, n)
         big = 1 << rng.randint(1, 300)
@@ -471,10 +503,32 @@ def test_integer_solver_matches_fraction_elimination(rng, monkeypatch):
             [-rng.randint(0, big) for _ in range(n)],
             [rng.randint(-big, big) for _ in range(n)],
         ][trial % 3]
-        cases.append((a, b, markov._gauss_fraction(*_fraction_system(a, b))))
-    monkeypatch.setattr(markov, "_gauss_fraction", _no_fallback)
-    for a, b, expected in cases:
+        cases.append((a, b, _gauss_fraction(*_fraction_system(a, b))))
+    return cases
+
+
+def test_integer_solver_matches_fraction_elimination(rng):
+    for a, b, expected in _random_cases(rng, 40):
         assert markov._solve_integer(np.array(a, dtype=np.int64), b) == expected
+
+
+def test_integer_solver_tolerates_an_inexact_inverse(rng, monkeypatch):
+    # 1.5 F still contracts: each step halves the residual instead of clearing it
+    cases = _random_cases(rng, 12)
+    expected = markov.solve_all_exact(11)
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: 1.5 * inv(a))
+    for a, b, solution in cases:
+        assert markov._solve_integer(np.array(a, dtype=np.int64), b) == solution
+    assert markov.solve_all_exact(11) == expected
+
+
+@pytest.mark.parametrize("scale", [-1.0, 0.0])
+def test_non_contracting_inverse_is_an_arithmetic_error(scale, monkeypatch):
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: scale * inv(a))
+    with _deadline(1.0), pytest.raises(ArithmeticError, match=r"K=3 block: .* on a 7-row system"):
+        markov.solve_all_exact(9)
 
 
 def test_each_token_count_is_strongly_connected_without_collisions():
@@ -496,28 +550,17 @@ def test_each_token_count_is_strongly_connected_without_collisions():
 
 
 def test_every_sweep_block_is_accepted_without_fallback(monkeypatch):
-    expected = markov.solve_all_exact(12)
-    monkeypatch.setattr(markov, "_gauss_fraction", _no_fallback)
-    assert markov.solve_all_exact(12) == expected
+    # the exact check is the only gate, and every block passes it at its first reconstruction
+    checks = []
+    verify = markov._verify_solution
 
+    def spy(*args):
+        checks.append(verify(*args))
+        return checks[-1]
 
-def test_integer_solver_takes_next_prime_when_singular_mod_p(monkeypatch):
-    first, second = islice(markov._lifting_primes(2), 2)
-    q = 1 << 16
-    y, r = divmod(first, q)
-    a = [[q, 1], [-r, y]]  # det = q y + r = first
-    b = [3, -5]
-    tried = []
-    factor = markov._factor_mod_p
-
-    def spy(matrix, p):
-        tried.append(p)
-        return factor(matrix, p)
-
-    monkeypatch.setattr(markov, "_factor_mod_p", spy)
-    solution = markov._solve_integer(np.array(a, dtype=np.int64), b)
-    assert tried == [first, second]
-    assert solution == markov._gauss_fraction(*_fraction_system(a, b))
+    monkeypatch.setattr(markov, "_verify_solution", spy)
+    markov.solve_all_exact(12)
+    assert checks == [True] * sum(1 for k, _ in groupby(enumerate_states(12), len) if k >= 2)
 
 
 def test_integer_solver_rejects_singular_system():
@@ -525,31 +568,22 @@ def test_integer_solver_rejects_singular_system():
         markov._solve_integer(np.array([[1, 2], [2, 4]], dtype=np.int64), [1, 1])
 
 
-def test_failed_verification_falls_back_to_fraction_elimination(rng, monkeypatch):
+def test_failed_verification_is_an_arithmetic_error(rng, monkeypatch):
     a = _random_nonsingular(rng, 5)
     b = [rng.randint(-(10**40), 10**40) for _ in range(5)]
-    expected = markov._gauss_fraction(*_fraction_system(a, b))
-    fallbacks = []
-    gauss = markov._gauss_fraction
-
-    def spy(rows, rhs):
-        fallbacks.append(len(rhs))
-        return gauss(rows, rhs)
-
+    # a denominator that is no power of two keeps the residual from reaching 0
+    assert any(v.denominator & (v.denominator - 1) for v in _gauss_fraction(*_fraction_system(a, b)))
     monkeypatch.setattr(markov, "_verify_solution", lambda *args: False)
-    monkeypatch.setattr(markov, "_gauss_fraction", spy)
-    assert markov._solve_integer(np.array(a, dtype=np.int64), b) == expected
-    assert fallbacks == [5]
+    with _deadline(5.0), pytest.raises(ArithmeticError, match="passed the exact check"):
+        markov._solve_integer(np.array(a, dtype=np.int64), b)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 132, 715, 1000, 10**4, 10**5])
-def test_lifting_prime_keeps_int64_dot_products_exact(n):
-    first, second = islice(markov._lifting_primes(n), 2)
-    for p in (first, second):
-        assert markov._is_probable_prime(p)
-        assert n * (p - 1) ** 2 < 2**63
-    assert second < first
-    assert 2 * n * first**2 >= 2**63  # near the largest such prime, not merely a safe one
+def test_dyadic_system_ends_at_a_zero_residual(monkeypatch):
+    def reconstruct(*args):
+        raise AssertionError("a dyadic solution was reconstructed instead of read off R = 0")
+
+    monkeypatch.setattr(markov, "_common_denominator", reconstruct)
+    assert markov._solve_integer(np.array([[2, 0], [0, 4]], dtype=np.int64), [1, 1]) == [Fraction(1, 2), Fraction(1, 4)]
 
 
 def test_sweep_rows_schema():
