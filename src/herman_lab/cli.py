@@ -266,6 +266,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     from . import optimize
     _check_seed(args.seed)
+    if args.k > OCCUPANCY_BITS - 1:  # the cost grows as K^5, so refuse before any of it is spent
+        raise ValueError(f"--k must be at most {OCCUPANCY_BITS - 1}, the most tokens (K odd) a ring of {OCCUPANCY_BITS} holds, got {args.k}")
     opt_cfg = optimize.OptimizerConfig(starts=args.opt_starts, seed=args.seed, max_iters=args.max_iters)
     report = optimize.maximize(args.target, args.k, opt_cfg)
     _print_record(report.to_record(), args.output_format)

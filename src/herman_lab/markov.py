@@ -9,17 +9,16 @@ N is limited to the 64-bit word.  The drift identities read the same
 successors; their unmerged K-vectors are g plus each mask's +-1/0 gap
 increments, with no step taken.  Expected stabilization times are solved
 exactly over the reachable state space, ordered by token count so each
-linear block only references already-solved smaller blocks; the blocks
-come from one CSR table over a successor-closed state list
-(`_successor_table`), built a token count at a time in numpy.  Each
-solve builds its own table over its own state list and returns the
-values; no solved value is kept between calls.
+linear block only references already-solved smaller blocks.  Each block
+is built from its token count's successor passes over a successor-closed
+state list (`_blocks`) and dropped before the next is built: no table of
+the whole list is kept, nor any solved value between calls.
 
 The exact solve has one row per reflection class, a state with its
 mirror image (the reversed gaps): the step commutes with mirroring, so
 the chain is strongly lumpable onto the classes.  A class row is its
-first member's successor counts summed per class; the float path keeps
-one row per state.
+first member's successor counts summed per class; the float path builds
+its blocks the same way with every state its own class.
 
 Multiplied by 2^K and by the lcm of the denominators it refers to, a
 block is an integer system: 2^K I minus the mask counts, with an integer
@@ -31,7 +30,7 @@ solution is accepted only after an exact integer check of every row,
 which is the original rational system multiplied through, so the float
 arithmetic cannot silently return a wrong answer; a block that does not
 converge is an ArithmeticError, never an unbounded solve.  The float path
-solves the same blocks divided by 2^K.
+divides the same float64 blocks by 2^K in place and solves them.
 """
 
 from __future__ import annotations
@@ -198,16 +197,16 @@ def _common_denominator(x: np.ndarray, d: int, first: Fraction, q: int, tol: int
 
 
 def _verify_solution(a: np.ndarray, b: list[int], nums: list[int], den: int) -> bool:
-    """Exact integer check of every row: A nums == den b."""
+    """Exact integer check of every row: A nums == den b, the entries of A multiplied as Python ints."""
     for row, rhs in zip(a, b):
         cols = np.flatnonzero(row)
-        if sum(map(operator.mul, row[cols].tolist(), [nums[j] for j in cols.tolist()])) != den * rhs:
+        if sum(map(operator.mul, row[cols].astype(np.int64).tolist(), [nums[j] for j in cols.tolist()])) != den * rhs:
             return False
     return True
 
 
 def _solve_integer(a: np.ndarray, b: list[int]) -> list[Fraction]:
-    """Exact solution of A z = b for a nonsingular int64 matrix and integer b.
+    """Exact solution of A z = b for a nonsingular float64 block of small integers (read without a copy) and integer b.
 
     A float64 inverse F of A is taken once, and iterative refinement with
     exact residuals does the rest (Wan 2006): integer numerators X over
@@ -220,7 +219,8 @@ def _solve_integer(a: np.ndarray, b: list[int]) -> list[Fraction]:
     reconstructed as the nearest fraction whose denominator that error
     allows, and once it repeats the whole solution is recovered over one
     common denominator and accepted only if `_verify_solution` holds for
-    every row.  R = 0 makes X / 2^D exact.
+    every row, multiplying the entries of A as Python ints, since a float
+    product with a numerator of hundreds of bits rounds.  R = 0 makes X / 2^D exact.
 
     ArithmeticError if A is singular in float64, if a step does not take
     a bit off the error bound (F is no contraction), or if the check still fails
@@ -230,7 +230,7 @@ def _solve_integer(a: np.ndarray, b: list[int]) -> list[Fraction]:
     n = len(b)
     if n == 0:
         return []
-    af = a.astype(np.float64)
+    af = np.asarray(a, dtype=np.float64)
     try:
         f = np.linalg.inv(af)
     except np.linalg.LinAlgError:
@@ -310,89 +310,68 @@ def _mirror_classes(n: int, states: list[tuple[int, ...]]) -> np.ndarray:
     return np.argsort(np.argsort(first))[inverse]
 
 
-def _successor_table(n: int, states: list[tuple[int, ...]], classes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """CSR successor rows (indptr, int32 class columns, int32 mask counts) of classes of canonical states.
+def _blocks(n: int, states: list[tuple[int, ...]], classes: np.ndarray) -> Iterator[tuple]:
+    """Each token count's hitting-time system times 2^K, ascending in K >= 2: (K, first, matrix, exits).
 
     `classes[i]` is state i's class, numbered in order of first member,
-    which alone is stepped.  The list must be in (K, gaps) order, which
-    puts each row in `_successor_counts` order when `classes` is
-    `arange`, and closed under successors (ValueError if not).
+    which alone is stepped.  The list must be in (K, gaps) order and closed
+    under successors (ValueError if not).  The rows are classes `first`,
+    `first + 1`, ...; `matrix` is 2^K I - C, C their mask counts, scattered
+    pass by pass into one float64 array, which holds small integers exactly.
+    `exits`, the entries to fewer tokens, are int32 (block rows, class
+    columns, mask counts), row by row and by column.  Nothing yielded is
+    kept while the next token count is stepped.
     """
     size, width = len(states), int(classes.max()) + 1
     keys = _state_keys(n, states)
     by_key = np.argsort(keys)
-    lengths, cols, counts = [np.zeros(1, dtype=np.int64)], [], []
-    for _k, group in groupby(map(states.__getitem__, np.unique(classes, return_index=True)[1].tolist()), len):
-        for succ in _successor_keys(n, _token_bits(n, np.array(list(group), dtype=np.int64))):
+    representatives = list(map(states.__getitem__, np.unique(classes, return_index=True)[1].tolist()))
+    first = sum(len(s) < 2 for s in representatives)  # the one-token class comes first and has no block
+    for k, group in groupby(representatives[first:], len):
+        tokens = _token_bits(n, np.array(list(group), dtype=np.int64))
+        passes = _successor_keys(n, tokens)
+        matrix = np.diag(np.full(len(tokens), float(1 << k)))
+        exits, lo = [], 0
+        for succ in passes:
             where = by_key[np.minimum(np.searchsorted(keys, succ, sorter=by_key), size - 1)]
             if not np.array_equal(keys[where], succ):
                 raise ValueError("the state list is not closed under successors")
-            pairs, pair_counts = np.unique(np.arange(len(succ))[:, None] * width + classes[where], return_counts=True)
-            lengths.append(np.bincount(pairs // width, minlength=len(succ)))
-            cols.append((pairs % width).astype(np.int32))
-            counts.append(pair_counts.astype(np.int32))
-    return np.cumsum(np.concatenate(lengths)), np.concatenate(cols), np.concatenate(counts)
-
-
-class _Block(NamedTuple):
-    """One token count's hitting-time system, multiplied through by 2^K.
-
-    Its rows are `first`, `first + 1`, ... of a table over a closed list
-    in (K, gaps) order, so it holds every same-K successor.  `matrix` is
-    2^K I - C, C the mask counts of its CSR rows.  The other entries, the
-    exits to fewer tokens, are `exits` (block rows, table columns, mask
-    counts) in table order: each row's exits by column, row by row.
-    """
-
-    k: int
-    first: int
-    matrix: np.ndarray
-    exits: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _blocks(states: list[tuple[int, ...]], indptr, table_cols, table_counts) -> Iterator[_Block]:
-    """The blocks of the token counts K >= 2 of a `_successor_table`, ascending in K."""
-    first = 0
-    for k, group in groupby(states, len):
-        stop = first + sum(1 for _ in group)
-        if k >= 2:
-            rows = np.repeat(np.arange(stop - first), np.diff(indptr[first : stop + 1]))
-            cols, counts = table_cols[indptr[first] : indptr[stop]], table_counts[indptr[first] : indptr[stop]]
+            pairs, counts = np.unique(np.arange(lo, lo + len(succ))[:, None] * width + classes[where], return_counts=True)
+            rows, cols = np.divmod(pairs, width)
             inside = cols >= first
-            matrix = np.diag(np.full(stop - first, 1 << k, dtype=np.int64))
             matrix[rows[inside], cols[inside] - first] -= counts[inside]
-            yield _Block(k, first, matrix, (rows[~inside], cols[~inside], counts[~inside]))
-        first = stop
+            exits.append(np.stack((rows, cols, counts))[:, ~inside].astype(np.int32))
+            lo += len(succ)
+        yield k, first, matrix, tuple(np.concatenate(exits, axis=1))
+        del matrix, exits
+        first += len(tokens)
 
 
 def _solve_states(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int, ...], Fraction]:
     """Exact E[T] of every state of a successor-closed list, one token count at a time.
 
-    One row is solved per reflection class, whose value every member
-    gets.  Nothing is kept between calls: each call builds its own table
-    and returns its values.  With L the lcm of the denominators of the solved
-    values a block refers to, the block times L is an integer system
-    A (L E) = b.
+    One row is solved per reflection class, whose value every member gets.
+    With L the lcm of the denominators of the solved values a block refers
+    to, the block times L is an integer system A (L E) = b.
     """
     classes = _mirror_classes(n, states)
-    representatives = [states[i] for i in np.unique(classes, return_index=True)[1].tolist()]
-    values = [Fraction(0) if len(s) <= 1 else None for s in representatives]
-    for block in _blocks(representatives, *_successor_table(n, states, classes)):
-        referred = np.flatnonzero(np.bincount(block.exits[1])).tolist()
+    values = [Fraction(0) if len(states[i]) <= 1 else None for i in np.unique(classes, return_index=True)[1].tolist()]
+    for k, first, matrix, (rows, cols, counts) in _blocks(n, states, classes):
+        referred = np.flatnonzero(np.bincount(cols)).tolist()
         lcm = math.lcm(*(values[j].denominator for j in referred))
-        scaled = np.zeros(block.first, dtype=object)
+        scaled = np.zeros(first, dtype=object)
         scaled[referred] = [values[j].numerator * (lcm // values[j].denominator) for j in referred]
-        rhs = np.full(len(block.matrix), lcm << block.k, dtype=object)
-        rows, cols, counts = block.exits
+        rhs = np.full(len(matrix), lcm << k, dtype=object)
         # one block length of exits at a time, so few big-int products are alive at once
         for lo in range(0, len(rows), len(rhs)):
             part = slice(lo, lo + len(rhs))
             np.add.at(rhs, rows[part], counts[part].astype(object) * scaled[cols[part]])
         try:
-            solution = _solve_integer(block.matrix, rhs.tolist())
+            solution = _solve_integer(matrix, rhs.tolist())
         except ArithmeticError as exc:
-            raise ArithmeticError(f"K={block.k} block: {exc}") from exc
-        for i, value in enumerate(solution, block.first):
+            raise ArithmeticError(f"K={k} block: {exc}") from exc
+        del matrix, rows, cols, counts  # before `_blocks` builds the next one
+        for i, value in enumerate(solution, first):
             values[i] = value / lcm
     return dict(zip(states, map(values.__getitem__, classes.tolist())))
 
@@ -427,18 +406,17 @@ def expected_time_exact(g: GapVector, *, max_ring: int | None = None) -> Fractio
 
 def _solve_states_float(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int, ...], float]:
     values = np.zeros(len(states))
-    for block in _blocks(states, *_successor_table(n, states, np.arange(len(states)))):
-        denom = float(1 << block.k)
-        a = block.matrix.view(np.float64)  # in place: the integer block is not needed again
-        np.divide(block.matrix, denom, out=a)  # dyadic, so equal to I - C / 2^K bit for bit
-        rows, cols, counts = block.exits
+    for k, first, a, (rows, cols, counts) in _blocks(n, states, np.arange(len(states))):
+        denom = float(1 << k)
+        a /= denom  # in place, and dyadic, so equal to I - C / 2^K bit for bit
         b = np.ones(len(a))
         np.add.at(b, rows, counts / denom * values[cols])  # unbuffered: each row's terms in turn, as a left fold
         x = np.linalg.solve(a, b)
         residual = float(np.max(np.abs(a @ x - b)))
+        del a, rows, cols, counts  # before `_blocks` builds the next one
         if residual > FLOAT_RESIDUAL_TOL:
             raise RuntimeError(f"float solve residual {residual:.3e} exceeds {FLOAT_RESIDUAL_TOL}")
-        values[block.first : block.first + len(x)] = x
+        values[first : first + len(x)] = x
     return dict(zip(states, values.tolist()))
 
 

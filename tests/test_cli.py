@@ -369,6 +369,20 @@ def test_optimize_max_iters_below_one_is_exit_two(max_iters, capsys):
     assert err == f"error: max_iters must be >= 1, got {max_iters}\n"
 
 
+def test_optimize_k_above_the_occupancy_word_is_exit_two(capsys):
+    # the cost grows as K^5: without the bound, K = 81 took 26 s and K = 121 failed to allocate under a 3 GB limit
+    code, out, err = run_cli(capsys, "optimize", "--target", "f", "--k", "65")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --k must be at most 63") and len(err.strip().splitlines()) == 1
+
+
+def test_optimize_at_the_largest_k_runs(capsys):
+    code, out, _ = run_cli(capsys, "optimize", "--target", "f", "--k", "63", "--starts", "1", "--max-iters", "1")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["K"] == 63
+
+
 def test_defaults_are_the_parser_defaults(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--config", "N=9;gaps=3,3,3")
     assert code == 0

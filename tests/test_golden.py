@@ -25,8 +25,12 @@ is not its own mirror image, so it is solved over its reachable states.
 `exact --sweep 17 --exact-capacity-n 17` was recorded before the block
 solve moved from mod-p lifting onto a float64 inverse with exact integer
 residuals, so the largest blocks the suite solves keep their bytes
-across that change; it runs in about 3 s.  An entry whose first two arguments another entry shares names its test
-`id`.
+across that change; it runs in about 3 s.  `exact --float --sweep 16`
+was recorded before each token count's block came to be built straight
+from its successor pass, as a float64 array: the float path's blocks
+were pinned only at N = 12 and 14 before, and this sweep's largest block
+has 715 rows; it runs in under a second.  An entry whose first
+two arguments another entry shares names its test `id`.
 """
 
 import hashlib

@@ -1,4 +1,5 @@
 import signal
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, groupby, product
@@ -191,45 +192,103 @@ def test_successor_kernel_at_word_size():
         successor_distribution(GapVector(65, (21, 21, 23)))
 
 
-def table_rows(n, states, table):
-    """Each CSR row of `_successor_table` as `_successor_counts` spells it."""
-    indptr, cols, counts = table
-    return [
-        tuple((states[j], c) for j, c in zip(cols[a:b].tolist(), counts[a:b].tolist()))
-        for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())
-    ]
+def block_rows(n, states, classes):
+    """Each row of `_blocks` as (class, its (class column, mask count) pairs by column).
+
+    The same-K counts are read back from the matrix, its off-diagonal
+    entries negated and its diagonal subtracted from 2^K; the row's exits,
+    whose columns are the lesser, come first.  Asserts the dtypes and that
+    the exits run row by row, by column within a row.
+    """
+    rows = []
+    for k, first, matrix, exits in markov._blocks(n, states, classes):
+        assert matrix.dtype == np.float64 and all(part.dtype == np.int32 for part in exits)
+        triples = list(zip(*(part.tolist() for part in exits)))
+        assert triples == sorted(triples)
+        by_row = {i: [(col, count) for _i, col, count in row] for i, row in groupby(triples, key=lambda t: t[0])}
+        for i, row in enumerate(((1 << k) * np.eye(len(matrix)) - matrix).tolist()):
+            assert all(c == int(c) for c in row)
+            rows.append((first + i, by_row.get(i, []) + [(first + j, int(c)) for j, c in enumerate(row) if c]))
+    return rows
 
 
-def test_successor_table_matches_successor_counts_on_every_state():
+def class_summed_rows(n, states, classes):
+    """(class, `_successor_counts` of its first member summed per class column) of each class with K >= 2."""
+    index = {s: i for i, s in enumerate(states)}
+    rows = []
+    for column, i in enumerate(np.unique(classes, return_index=True)[1].tolist()):
+        if len(states[i]) >= 2:
+            summed = {}
+            for succ, count in markov._successor_counts(n, states[i]):
+                j = int(classes[index[succ]])
+                summed[j] = summed.get(j, 0) + count
+            rows.append((column, sorted(summed.items())))
+    return rows
+
+
+def test_block_rows_match_successor_counts_on_every_state():
+    # with every state its own class, a row is `_successor_counts` itself, in its order
     for n in range(3, 15):
         states = enumerate_states(n)
-        table = markov._successor_table(n, states, np.arange(len(states)))
-        assert table[1].dtype == table[2].dtype == np.int32
-        assert table_rows(n, states, table) == [markov._successor_counts(n, s) for s in states], n
+        index = {s: i for i, s in enumerate(states)}
+        expected = [(i, [(index[t], c) for t, c in markov._successor_counts(n, s)]) for i, s in enumerate(states) if len(s) >= 2]
+        assert block_rows(n, states, np.arange(len(states))) == expected, n
 
 
-def test_successor_table_is_the_same_when_a_token_count_spans_passes(monkeypatch):
+def test_lumped_block_rows_are_class_summed_successor_counts():
+    for n in range(3, 15):
+        states = enumerate_states(n)
+        classes = markov._mirror_classes(n, states)
+        assert block_rows(n, states, classes) == class_summed_rows(n, states, classes), n
+
+
+def test_blocks_are_the_same_when_a_token_count_spans_passes(monkeypatch):
     states = enumerate_states(13)
-    whole = markov._successor_table(13, states, np.arange(len(states)))
-    monkeypatch.setattr(markov, "TABLE_PASS_WORDS", 1 << 7)  # 4 states of K = 5 per pass, 1 of K = 7 up
-    split = markov._successor_table(13, states, np.arange(len(states)))
-    assert all(np.array_equal(a, b) for a, b in zip(whole, split))
+    for classes in (np.arange(len(states)), markov._mirror_classes(13, states)):
+        whole = list(markov._blocks(13, states, classes))
+        monkeypatch.setattr(markov, "TABLE_PASS_WORDS", 1 << 7)  # 4 states of K = 5 per pass, 1 of K = 7 up
+        split = list(markov._blocks(13, states, classes))
+        assert block_rows(13, states, classes) == class_summed_rows(13, states, classes)
+        monkeypatch.undo()
+        assert [(k, first) for k, first, _m, _e in whole] == [(k, first) for k, first, _m, _e in split]
+        for (_k, _f, a, a_exits), (_k2, _f2, b, b_exits) in zip(whole, split):
+            assert np.array_equal(a, b) and all(np.array_equal(u, v) for u, v in zip(a_exits, b_exits))
 
 
-def test_successor_table_at_word_size():
+def test_blocks_at_word_size():
     states = markov._reachable_states(64, (21, 21, 22))
-    table = markov._successor_table(64, states, np.arange(len(states)))
-    assert table_rows(64, states, table) == [markov._successor_counts(64, s) for s in states]
+    classes = np.arange(len(states))
+    assert block_rows(64, states, classes) == class_summed_rows(64, states, classes)
 
 
-def test_successor_table_rejects_a_list_not_closed_under_successors():
+def test_blocks_reject_a_list_not_closed_under_successors():
     # (9,) has the largest key, so its successor keys would search past the end;
     # every other state is reached from the rest of its token count
     for missing in ((9,), (1, 1, 7), (1, 1, 2, 2, 3)):
         states = enumerate_states(9)
         states.remove(missing)
         with pytest.raises(ValueError, match="not closed"):
-            markov._successor_table(9, states, np.arange(len(states)))
+            list(markov._blocks(9, states, np.arange(len(states))))
+
+
+@pytest.mark.parametrize("solve", [markov.solve_all_exact, markov.solve_all_float])
+def test_no_block_is_alive_while_the_next_token_count_is_stepped(solve, monkeypatch):
+    refs, alive = [], []
+    blocks, keys = markov._blocks, markov._successor_keys
+
+    def track(block):
+        refs.append(weakref.ref(block[2]))
+        return block
+
+    def spy(n, tokens):
+        alive.append(sum(ref() is not None for ref in refs))
+        return keys(n, tokens)
+
+    # neither wrapper holds a block: `map` keeps no item it has returned
+    monkeypatch.setattr(markov, "_blocks", lambda *args: map(track, blocks(*args)))
+    monkeypatch.setattr(markov, "_successor_keys", spy)
+    solve(11)
+    assert alive == [0] * 5  # one pass for each of K = 3, 5, 7, 9, 11
 
 
 # --- reflection classes --------------------------------------------------------
@@ -266,25 +325,6 @@ def test_mirror_classes_pair_each_state_with_its_mirror_in_first_member_order():
         firsts = [c for i, c in enumerate(classes) if c not in classes[:i]]
         assert firsts == list(range(len(firsts)))
     assert len(set(markov._mirror_classes(13, enumerate_states(13)).tolist())) == 190
-
-
-def test_lumped_table_rows_are_class_summed_successor_counts():
-    for n in range(3, 15):
-        states = enumerate_states(n)
-        classes = markov._mirror_classes(n, states)
-        index = {s: i for i, s in enumerate(states)}
-        first_of = classes.tolist().index
-        representatives = [s for i, s in enumerate(states) if first_of(classes[i]) == i]
-        indptr, cols, counts = markov._successor_table(n, states, classes)
-        assert len(indptr) == len(representatives) + 1
-        for r, rep in enumerate(representatives):
-            a, b = indptr[r], indptr[r + 1]
-            assert list(cols[a:b]) == sorted(cols[a:b])
-            expected = {}
-            for succ, count in markov._successor_counts(n, rep):
-                column = int(classes[index[succ]])
-                expected[column] = expected.get(column, 0) + count
-            assert dict(zip(cols[a:b].tolist(), counts[a:b].tolist())) == expected, (n, rep)
 
 
 def _gauss_fraction(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -821,7 +861,7 @@ def test_a_solve_keeps_nothing_between_calls(monkeypatch):
         return keys(n, tokens)
 
     monkeypatch.setattr(markov, "_successor_keys", spy)
-    every_k = set(map(len, enumerate_states(11)))
+    every_k = {k for k in map(len, enumerate_states(11)) if k >= 2}  # the one-token class has no block to build
     expected = markov.solve_all_exact(11)
     assert set(stepped) == every_k
     stepped.clear()
