@@ -6,9 +6,9 @@ clockwise exactly when its process coin is set, which is the original
 bit-flipping formulation of the protocol.  The step is
 `ring.step_occupancy`, the same one the exact chain enumerates.
 `coupled_equivalence` steps Herman's bit flips beside it under shared
-coins and checks that both give the same trajectory word for word; the
-cross-check against the position pipeline (`apply_step`, `bit_step`)
-lives in `exhaustive_coupling`.
+coins and checks that both give the same trajectory word for word;
+`exhaustive_coupling` checks one step of the two on every bit word and
+every coin word of a small ring.
 
 Run i consumes only the stream derived as stream_key(master_seed, i)
 (see `streams`), so estimates are bit-identical however runs are
@@ -30,18 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import (
-    OCCUPANCY_BITS,
-    BitRing,
-    Configuration,
-    StepLimitError,
-    apply_step,
-    bit_step,
-    config_from_bits,
-    step_occupancy,
-    token_positions,
-    token_word,
-)
+from .ring import OCCUPANCY_BITS, Configuration, StepLimitError, positions_word, step_occupancy, token_word, word_positions
 from .streams import GOLDEN, MASK64, SCRAMBLE_MULTIPLIERS, SCRAMBLE_SHIFTS, CoinStream
 
 DEFAULT_STEP_CAP_FACTOR = 100  # cap = factor * N^2; a breach is a bug, not a sample
@@ -71,13 +60,6 @@ class SimStats:
         }
 
 
-def _occupancy(config: Configuration) -> int:
-    occ = 0
-    for p in config.positions:
-        occ |= 1 << (p - 1)
-    return occ
-
-
 def _default_cap(n: int, step_cap: int | None) -> int:
     return DEFAULT_STEP_CAP_FACTOR * n * n if step_cap is None else step_cap
 
@@ -88,7 +70,7 @@ def simulate_once(config: Configuration, stream: CoinStream, *, step_cap: int | 
         raise ValueError("simulation requires an odd token count")
     n = config.ring_size
     cap = _default_cap(n, step_cap)
-    occ = _occupancy(config)
+    occ = positions_word(config.positions)
     steps = 0
     while occ.bit_count() > 1:
         if steps >= cap:
@@ -186,7 +168,7 @@ def run_steps(config: Configuration, runs: int, master_seed: int, *, step_cap: i
     if n > OCCUPANCY_BITS:
         raise ValueError(f"ring size {n} exceeds the {OCCUPANCY_BITS}-process occupancy word of the simulator")
     cap = _default_cap(n, step_cap)
-    occ0 = _occupancy(config)
+    occ0 = positions_word(config.positions)
     out = np.empty(runs, dtype=np.int64)
     for lo in range(0, runs, BATCH_RUNS):
         hi = min(lo + BATCH_RUNS, runs)
@@ -233,8 +215,10 @@ class CouplingResult:
     failure: dict | None = None
 
 
-def _positions(word: int, n: int) -> list[int]:
-    return [p + 1 for p in range(n) if word >> p & 1]
+def _failure(expected: int, extracted: int, **case) -> dict:
+    """A coupling failure record: the case, then the token positions of both sides' words."""
+    expected, extracted = list(word_positions(expected)), list(word_positions(extracted))
+    return {**case, "expected_positions": expected, "extracted_positions": extracted}
 
 
 def coupled_equivalence(n: int, runs: int, master_seed: int) -> CouplingResult:
@@ -264,37 +248,22 @@ def coupled_equivalence(n: int, runs: int, master_seed: int) -> CouplingResult:
             occ = step_occupancy(occ, occ & coins, n)
             tokens = token_word(bits, n)
             if tokens != occ:
-                failure = {
-                    "run": run,
-                    "step": steps,
-                    "coins": coins,
-                    "expected_positions": _positions(occ, n),
-                    "extracted_positions": _positions(tokens, n),
-                }
-                return CouplingResult(False, runs, failure)
+                return CouplingResult(False, runs, _failure(occ, tokens, run=run, step=steps, coins=coins))
             steps += 1
     return CouplingResult(True, runs)
 
 
 def exhaustive_coupling(n: int) -> CouplingResult:
-    """Single-step coupling over every bit state and every coin vector."""
+    """One step of Herman's bit flips against `step_occupancy` on all 4^n bit and coin words."""
     if n % 2 == 0:
         raise ValueError("the bit representation needs an odd ring size")
-    checked = 0
-    for word in range(1 << n):
-        bits = BitRing(tuple(bool((word >> i) & 1) for i in range(n)))
-        config = config_from_bits(bits)
+    if n < 3:
+        raise ValueError("bit ring needs at least 3 processes")
+    for bits in range(1 << n):
+        tokens = token_word(bits, n)
         for coins in range(1 << n):
-            flips = tuple(bool((coins >> (p - 1)) & 1) for p in token_positions(bits))
-            stepped = apply_step(config, flips)
-            extracted = config_from_bits(bit_step(bits, flips))
-            checked += 1
-            if extracted != stepped:
-                failure = {
-                    "bits": word,
-                    "coins": coins,
-                    "expected_positions": list(stepped.positions),
-                    "extracted_positions": list(extracted.positions),
-                }
-                return CouplingResult(False, checked, failure)
-    return CouplingResult(True, checked)
+            stepped = step_occupancy(tokens, tokens & coins, n)
+            extracted = token_word(bits ^ (coins & tokens), n)
+            if extracted != stepped:  # runs counts the cases checked in (bits, coins) order, this one included
+                return CouplingResult(False, (bits << n | coins) + 1, _failure(stepped, extracted, bits=bits, coins=coins))
+    return CouplingResult(True, 1 << 2 * n)

@@ -202,9 +202,7 @@ def kkt_report(
     cor11 = sum(
         (k - i - 2) / 2 * lyapunov.scalar_rotation_product(x, i) for i in range(1, k - 2, 2)
     )
-    margin = min(
-        _lemma14_margin(x, c_values[shift], shift, i1) for shift in range(k) for i1 in range(1, k, 2)
-    )
+    margin = min(_lemma14_margins(x, c_values))
     f_value = _value_fn("f", k)(np.asarray(x))
     lemma12 = None
     if f_value > ONE_27:
@@ -239,25 +237,30 @@ def is_candidate_maximum(report: CriticalPointReport) -> bool:
     )
 
 
-def _lemma14_margin(x, c_shift: float, shift: int, i1: int) -> float:
-    """Full-minus-truncated critical expression times x_0 x_{i1}, shifted.
+def _lemma14_margins(x, c_values) -> list[float]:
+    """Full-minus-truncated critical expression times x_0 x_{i1}, at every shift and odd i1.
 
-    The full expression is `c_shift`, the c value at `shift`; the truncated
-    one keeps only its terms with i2 > i1.  Dropping the terms absent from
-    f3/f5 can only lower the product at an interior local maximum; the
-    margin is the amount dropped.
+    The full expression at a shift is its c value; the truncated one keeps
+    only its terms with i2 > i1, which are a suffix of the even-i2 triples.
+    Dropping the terms absent from f3/f5 can only lower the product at an
+    interior local maximum; the margin is the amount dropped.  A sequential
+    cumsum sums each tail left to right, as the triples come.
     """
     k = len(x)
-
-    def at(i):
-        return x[(i + shift) % k]
-
-    tail_lin = sum(at(i2) for i2 in range(i1 + 1, k, 2))
-    tail_cub = 0.0
-    for i2, i3, i4 in alternating_tuples(k, 3):
-        if i2 > i1 and i2 % 2 == 0:
-            tail_cub += at(i2) * at(i3) * at(i4)
-    return at(0) * at(i1) * (c_shift - (tail_lin - ALPHA * tail_cub))
+    t3, _, _, _, rot = _index_arrays(k)
+    t3 = t3[t3[:, 0] % 2 == 0]
+    odd = range(1, k, 2)
+    starts = np.searchsorted(t3[:, 0], odd, side="right")  # the first triple with i2 > i1
+    margins = []
+    for shift in range(k):
+        xs = np.asarray(x)[rot[shift]]  # xs[i] = x[(i + shift) % k]
+        terms = xs[t3[:, 0]] * xs[t3[:, 1]] * xs[t3[:, 2]]
+        at = xs.tolist()
+        for i1, start in zip(odd, starts):
+            tail_cub = float(np.cumsum(terms[start:])[-1]) if start < len(terms) else 0.0
+            tail_lin = sum(at[i1 + 1 :: 2])
+            margins.append(at[0] * at[i1] * (c_values[shift] - (tail_lin - ALPHA * tail_cub)))
+    return margins
 
 
 def maximize(target: str, k: int, cfg: OptimizerConfig, on_iterate=None) -> CriticalPointReport:

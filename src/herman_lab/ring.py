@@ -4,14 +4,17 @@ A ring of N processes (numbered 1..N clockwise) holds K tokens.  Each
 step, every token independently stays or moves one position clockwise;
 two tokens landing on one process annihilate.  The module provides the
 position view (`Configuration`), the gap view (`GapVector`), the bit
-view (`BitRing`) of the original protocol, the N-bit occupancy mask that
-both the exact chain and the simulator step, and the conversions and
-step operators connecting them.
+view (`BitRing`) of the original protocol, and the N-bit occupancy word
+(bit p-1 is process p).  Two formulas step a ring: `step_occupancy` on
+occupancy words, and Herman's rule `bits ^ (coins & token_word(bits, n))`
+on bit words.  The position and bit views go through them by way of the
+`positions_word`/`word_positions` codec, on Python ints of any size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -104,7 +107,7 @@ class BitRing:
         object.__setattr__(self, "bits", bits)
         if len(bits) < 3:
             raise ValueError("bit ring needs at least 3 processes")
-        if not any(bits[i] == bits[i - 1] for i in range(len(bits))):
+        if not token_word(_bit_word(bits), len(bits)):
             raise ValueError("bit ring encodes no token")
 
     @property
@@ -114,23 +117,15 @@ class BitRing:
 
 def gap_vector(config: Configuration) -> GapVector:
     """Gap view: gaps[0] wraps around (N + z(1) - z(K)), gaps[i] = z(i+1) - z(i)."""
-    pos = config.positions
-    n = config.ring_size
-    gaps = [n + pos[0] - pos[-1]]
-    gaps.extend(pos[i + 1] - pos[i] for i in range(len(pos) - 1))
-    return GapVector(n, tuple(gaps))
+    pos, n = config.positions, config.ring_size
+    return GapVector(n, (n + pos[0] - pos[-1], *(b - a for a, b in zip(pos, pos[1:]))))
 
 
 def config_from_gaps(g: GapVector) -> Configuration:
     """A configuration with the given gaps, anchored so the last token sits at N."""
     if not g.gaps:
         raise ValueError("cannot place tokens for an empty gap vector")
-    pos = []
-    acc = 0
-    for gap in g.gaps:
-        acc += gap
-        pos.append(acc)
-    return Configuration(g.ring_size, tuple(pos))
+    return Configuration(g.ring_size, tuple(accumulate(g.gaps)))
 
 
 def least_rotation(gaps: tuple[int, ...]) -> tuple[int, ...]:
@@ -143,27 +138,35 @@ def canonical_rotation(g: GapVector) -> GapVector:
     return GapVector(g.ring_size, least_rotation(g.gaps))
 
 
+def positions_word(positions) -> int:
+    """Occupancy word of ascending process numbers: bit p-1 is set for each p."""
+    return sum(1 << (p - 1) for p in positions)
+
+
+def word_positions(word: int) -> tuple[int, ...]:
+    """Process numbers of the set bits of an occupancy word, ascending."""
+    return tuple(p + 1 for p in range(word.bit_length()) if word >> p & 1)
+
+
+def _bit_word(bits: tuple[bool, ...]) -> int:
+    return sum(1 << i for i, bit in enumerate(bits) if bit)
+
+
 def apply_step(config: Configuration, mask: MoveMask) -> Configuration:
     """Advance every token whose mask bit is set; annihilate collisions.
 
-    Annihilation is occupancy count mod 2 per process: a process can end
-    the step with at most two tokens (one kept, one received), and a pair
-    removes both.
+    One `step_occupancy` of the tokens' occupancy word: a process ends the
+    step with at most two tokens (one kept, one received), and its XOR
+    removes a pair.
     """
     pos = config.positions
-    n = config.ring_size
     if len(mask) != len(pos):
         raise ValueError("mask length must equal the token count")
-    occupancy: set[int] = set()
-    for p, move in zip(pos, mask):
-        q = p % n + 1 if move else p
-        if q in occupancy:
-            occupancy.discard(q)
-        else:
-            occupancy.add(q)
-    if not occupancy:
+    moving = positions_word(p for p, move in zip(pos, mask) if move)
+    occ = step_occupancy(positions_word(pos), moving, config.ring_size)
+    if not occ:
         raise ValueError("all tokens annihilated; no configuration remains")
-    return Configuration(n, tuple(sorted(occupancy)))
+    return Configuration(config.ring_size, word_positions(occ))
 
 
 def _rotl(mask, n: int):
@@ -203,7 +206,7 @@ def token_word(bits: int, n: int) -> int:
     """Occupancy word of the n-bit ring `bits` (bit p-1 is process p's bit).
 
     Process p holds a token iff its bit equals its counterclockwise
-    neighbor's, as in `token_positions`.
+    neighbor's.
     """
     return ~(bits ^ _rotl(bits, n)) & ((1 << n) - 1)
 
@@ -232,9 +235,7 @@ def random_step(config: Configuration, rng: CoinStream) -> Configuration:
 
 def token_positions(bits: BitRing) -> tuple[int, ...]:
     """Positions of processes whose bit equals their counterclockwise neighbor's."""
-    b = bits.bits
-    n = len(b)
-    return tuple(i + 1 for i in range(n) if b[i] == b[i - 1])
+    return word_positions(token_word(_bit_word(bits.bits), bits.ring_size))
 
 
 def config_from_bits(bits: BitRing) -> Configuration:
@@ -254,10 +255,9 @@ def bits_from_config(config: Configuration) -> BitRing:
     if config.token_count % 2 == 0:
         raise ValueError("odd process count forces an odd token count")
     tokens = set(config.positions)
-    bits = [False] * n
+    bits = [False]  # process p's bit differs from process p-1's unless p holds a token
     for p in range(2, n + 1):
-        same = p in tokens
-        bits[p - 1] = bits[p - 2] if same else not bits[p - 2]
+        bits.append(bits[-1] ^ (p not in tokens))
     return BitRing(tuple(bits))
 
 
@@ -265,16 +265,18 @@ def bit_step(bits: BitRing, flips: MoveMask) -> BitRing:
     """Flip the bit of each token-holding process whose coin is set.
 
     `flips` is indexed like a move mask: one coin per token, in sorted
-    token-position order.  A flip passes that token clockwise.
+    token-position order.  A flip passes that token clockwise: the coins
+    go to the token positions and Herman's rule steps the bit word.
     """
-    tokens = token_positions(bits)
-    if len(flips) != len(tokens):
+    n = bits.ring_size
+    word = _bit_word(bits.bits)
+    tokens = token_word(word, n)
+    positions = word_positions(tokens)
+    if len(flips) != len(positions):
         raise ValueError("flip vector length must equal the token count")
-    new_bits = list(bits.bits)
-    for p, flip in zip(tokens, flips):
-        if flip:
-            new_bits[p - 1] = not new_bits[p - 1]
-    return BitRing(tuple(new_bits))
+    coins = positions_word(p for p, flip in zip(positions, flips) if flip)
+    word ^= coins & tokens
+    return BitRing(tuple(bool(word >> i & 1) for i in range(n)))
 
 
 def parse_gap_vector(text: str) -> GapVector:

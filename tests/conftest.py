@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from herman_lab.ring import GapVector
+from herman_lab.ring import BitRing, Configuration, GapVector
 
 
 def random_gaps(rng: random.Random, k: int, n: int) -> GapVector:
@@ -16,6 +16,45 @@ def random_gaps(rng: random.Random, k: int, n: int) -> GapVector:
 def no_annihilation(occ: int, moving: int, n: int) -> int:
     """`ring.step_occupancy` with OR for XOR: a token landing on a staying one survives."""
     return (occ & ~moving) | ((moving << 1 | moving >> (n - 1)) & ((1 << n) - 1))
+
+
+def reference_apply_step(config: Configuration, mask) -> Configuration:
+    """The position step on a set of occupied processes; a second token on a process removes both.
+
+    This was `ring.apply_step` before that came to step occupancy words.
+    """
+    n = config.ring_size
+    occupancy: set[int] = set()
+    for p, move in zip(config.positions, mask, strict=True):
+        q = p % n + 1 if move else p
+        if q in occupancy:
+            occupancy.discard(q)
+        else:
+            occupancy.add(q)
+    if not occupancy:
+        raise ValueError("all tokens annihilated; no configuration remains")
+    return Configuration(n, tuple(sorted(occupancy)))
+
+
+def reference_token_positions(bits: BitRing) -> tuple[int, ...]:
+    """Processes whose bit equals their counterclockwise neighbour's, read off the bit tuple.
+
+    This was `ring.token_positions` before that came to read `token_word`.
+    """
+    b = bits.bits
+    return tuple(i + 1 for i in range(len(b)) if b[i] == b[i - 1])
+
+
+def reference_bit_step(bits: BitRing, flips) -> BitRing:
+    """Herman's rule on a bit list: each token-holding process flips its bit when its coin is set.
+
+    This was `ring.bit_step` before that came to apply the rule to the bit word.
+    """
+    new_bits = list(bits.bits)
+    for p, flip in zip(reference_token_positions(bits), flips, strict=True):
+        if flip:
+            new_bits[p - 1] = not new_bits[p - 1]
+    return BitRing(tuple(new_bits))
 
 
 def random_simplex_fractions(rng: random.Random, k: int) -> tuple[Fraction, ...]:

@@ -31,6 +31,9 @@ from its successor pass, as a float64 array: the float path's blocks
 were pinned only at N = 12 and 14 before, and this sweep's largest block
 has 715 rows; it runs in under a second.  An entry whose first
 two arguments another entry shares names its test `id`.
+
+golden/demo_sha256.json holds the stdout sha256 of demos whose output
+pins a part of the library API that no CLI command prints.
 """
 
 import hashlib
@@ -44,9 +47,11 @@ import pytest
 
 from herman_lab.cli import main
 
+REPO = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "exact_sweep_sha256.json").read_text())
 CORPUS = json.loads((GOLDEN_DIR / "cli_corpus_sha256.json").read_text())
+DEMOS = json.loads((GOLDEN_DIR / "demo_sha256.json").read_text())
 FLOAT_SWEEP_12_SHA256 = "f886d9302fa59b14b51f1f8adea85455639999494e70cad33019098b896afa84"
 
 
@@ -57,14 +62,18 @@ def test_exact_sweep_stdout_is_golden(n, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[n]
 
 
-def _run_cli(argv: list[str]) -> bytes:
-    """stdout of `python -m herman_lab argv` with one BLAS thread; asserts exit 0."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+def _run_python(*args: str) -> bytes:
+    """stdout of `python args` with this checkout's src on its path and one BLAS thread; asserts exit 0."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "herman_lab", *argv], env=env, capture_output=True, timeout=120)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
+
+
+def _run_cli(argv: list[str]) -> bytes:
+    """stdout of `python -m herman_lab argv`; asserts exit 0."""
+    return _run_python("-m", "herman_lab", *argv)
 
 
 def test_float_sweep_stdout_is_golden():
@@ -81,3 +90,17 @@ def test_cli_corpus_is_golden(case, tmp_path):
     assert hashlib.sha256(_run_cli(argv)).hexdigest() == case["stdout"]
     if "histogram" in case:
         assert hashlib.sha256(histogram.read_bytes()).hexdigest() == case["histogram"]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_stdout_is_golden(demo):
+    """The demo prints the recorded bytes.
+
+    `01_token_ring_basics.py` tours the position and bit API: `apply_step`,
+    `random_step`, `bits_from_config`, `bit_step` and `config_from_bits`.
+    Its digest was recorded before those came to step occupancy words
+    (`step_occupancy` and Herman's rule on the bit word) in place of
+    their set and bit-list loops, so the tour keeps its bytes across that
+    change.  It runs in about 0.1 s.
+    """
+    assert hashlib.sha256(_run_python(str(REPO / "demos" / demo))).hexdigest() == DEMOS[demo]

@@ -7,6 +7,7 @@ from conftest import no_annihilation
 from herman_lab import montecarlo as mc
 from herman_lab.markov import expected_time_exact
 from herman_lab.montecarlo import (
+    CouplingResult,
     SimStats,
     StepLimitError,
     coupled_equivalence,
@@ -147,9 +148,10 @@ def test_sim_stats_json():
 
 # --- coupling ------------------------------------------------------------------
 
-def test_exhaustive_coupling_n3_and_n5():
-    assert exhaustive_coupling(3).passed
-    assert exhaustive_coupling(5).passed
+def test_exhaustive_coupling_n3_to_n7():
+    # the results `exhaustive_coupling` gave when it still stepped positions and bit tuples
+    for n in (3, 5, 7):
+        assert exhaustive_coupling(n) == CouplingResult(True, 4**n)
 
 
 @pytest.mark.parametrize("n", (3, 5, 7, 9))
@@ -164,6 +166,8 @@ def test_coupling_rejects_even_ring():
         coupled_equivalence(4, 10, 0)
     with pytest.raises(ValueError):
         exhaustive_coupling(4)
+    with pytest.raises(ValueError, match="at least 3 processes"):
+        exhaustive_coupling(1)
     # odd, but no bit ring (n = 1) or more processes than an occupancy word (n = 65)
     for n in (1, 65):
         with pytest.raises(ValueError):
@@ -175,10 +179,10 @@ def _clockwise_tokens(bits, n):
     return ~(bits ^ (bits >> 1 | bits << (n - 1))) & ((1 << n) - 1)
 
 
-def _assert_caught(result):
+def _assert_caught(result, where=("run", "step")):
     assert result.passed is False
     failure = result.failure
-    assert set(failure) == {"run", "step", "coins", "expected_positions", "extracted_positions"}
+    assert set(failure) == {*where, "coins", "expected_positions", "extracted_positions"}
     for key in ("expected_positions", "extracted_positions"):
         assert failure[key] == sorted(failure[key])
     assert failure["expected_positions"] != failure["extracted_positions"]
@@ -192,6 +196,20 @@ def test_coupling_catches_an_occupancy_step_without_annihilation(monkeypatch):
 def test_coupling_catches_tokens_read_against_the_wrong_neighbour(monkeypatch):
     monkeypatch.setattr(mc, "token_word", _clockwise_tokens)
     _assert_caught(coupled_equivalence(5, 20, 0))
+
+
+def test_exhaustive_coupling_catches_an_occupancy_step_without_annihilation(monkeypatch):
+    monkeypatch.setattr(mc, "step_occupancy", no_annihilation)
+    result = exhaustive_coupling(3)
+    _assert_caught(result, where=("bits",))
+    # the second case: bit word 0 holds three tokens, and coin word 1 moves the first onto the second
+    assert (result.runs, result.failure["bits"], result.failure["coins"]) == (2, 0, 1)
+    assert (result.failure["expected_positions"], result.failure["extracted_positions"]) == ([2, 3], [3])
+
+
+def test_exhaustive_coupling_catches_tokens_read_against_the_wrong_neighbour(monkeypatch):
+    monkeypatch.setattr(mc, "token_word", _clockwise_tokens)
+    _assert_caught(exhaustive_coupling(3), where=("bits",))
 
 
 def test_coupling_step_cap_names_the_first_run_with_a_step(monkeypatch):

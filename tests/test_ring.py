@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import random_gaps
+from conftest import random_gaps, reference_apply_step, reference_bit_step, reference_token_positions
 from herman_lab.ring import (
     BitRing,
     Configuration,
@@ -19,10 +19,12 @@ from herman_lab.ring import (
     necklace_key,
     parse_configuration,
     parse_gap_vector,
+    positions_word,
     random_step,
     step_occupancy,
     token_positions,
     token_word,
+    word_positions,
 )
 from herman_lab.streams import CoinStream
 
@@ -201,33 +203,38 @@ def test_bit_step_global_flip_keeps_tokens():
     assert config_from_bits(stepped).positions == (1, 2, 3)
 
 
+def bit_ring(word, n):
+    return BitRing(tuple(bool((word >> i) & 1) for i in range(n)))
+
+
 @pytest.mark.parametrize("n", (3, 5))
 def test_bit_step_coupling_exhaustive(n):
     # every bit state, every flip vector: bit stepping implements token passing
     for word in range(1 << n):
-        bits = BitRing(tuple(bool((word >> i) & 1) for i in range(n)))
-        config = config_from_bits(bits)
-        k = config.token_count
-        for mask in all_masks(k):
-            assert config_from_bits(bit_step(bits, mask)) == apply_step(config, mask)
+        bits = bit_ring(word, n)
+        config = Configuration(n, reference_token_positions(bits))
+        for mask in all_masks(config.token_count):
+            stepped = bit_step(bits, mask)
+            assert stepped == reference_bit_step(bits, mask)
+            assert config_from_bits(stepped) == reference_apply_step(config, mask)
 
 
 def test_bit_step_coupling_random(rng):
-    for _ in range(10_000):
-        n = rng.choice((3, 5, 7, 9, 11, 13, 15))
-        word = rng.getrandbits(n)
-        bits = BitRing(tuple(bool((word >> i) & 1) for i in range(n)))
-        config = config_from_bits(bits)
+    # N = 65 and 100 lie beyond a uint64 word; an even N holds an even token count
+    for trial in range(10_000):
+        n = rng.choice((65, 100)) if trial % 10 == 0 else rng.choice((3, 5, 7, 9, 11, 13, 15))
+        bits = bit_ring(rng.getrandbits(n), n)
+        config = Configuration(n, reference_token_positions(bits))
         mask = tuple(rng.random() < 0.5 for _ in range(config.token_count))
-        assert config_from_bits(bit_step(bits, mask)) == apply_step(config, mask)
+        stepped = bit_step(bits, mask)
+        assert stepped == reference_bit_step(bits, mask)
+        assert config_from_bits(stepped) == reference_apply_step(config, mask)
 
 
 def test_odd_ring_forces_odd_token_count(rng):
     for _ in range(500):
         n = rng.choice((3, 5, 7, 9, 11))
-        word = rng.getrandbits(n)
-        bits = BitRing(tuple(bool((word >> i) & 1) for i in range(n)))
-        assert config_from_bits(bits).token_count % 2 == 1
+        assert config_from_bits(bit_ring(rng.getrandbits(n), n)).token_count % 2 == 1
 
 
 def test_token_positions_matches_definition():
@@ -241,9 +248,20 @@ def test_token_positions_matches_definition():
 @pytest.mark.parametrize("n", (3, 5, 7, 9, 11))
 def test_token_word_matches_token_positions(n):
     for word in range(1 << n):
-        bits = BitRing(tuple(bool((word >> i) & 1) for i in range(n)))
+        bits = bit_ring(word, n)
         tokens = token_word(word, n)
-        assert tuple(p + 1 for p in range(n) if tokens >> p & 1) == token_positions(bits)
+        assert tuple(p + 1 for p in range(n) if tokens >> p & 1) == reference_token_positions(bits)
+        assert token_positions(bits) == reference_token_positions(bits)
+
+
+@pytest.mark.parametrize("n", (64, 65, 100))
+def test_token_word_matches_token_positions_sampled(n, rng):
+    for _ in range(200):
+        word = rng.getrandbits(n)
+        bits = bit_ring(word, n)
+        tokens = token_word(word, n)
+        assert tuple(p + 1 for p in range(n) if tokens >> p & 1) == reference_token_positions(bits)
+        assert token_positions(bits) == reference_token_positions(bits)
 
 
 # --- canonical rotation and literals -------------------------------------
@@ -296,16 +314,31 @@ def moving_mask(config, mask):
 
 
 def test_step_occupancy_matches_apply_step(rng):
+    # every fourth trial fills the uint64 word (N = 64) or lies beyond it (N = 65, 100)
     for trial in range(600):
-        n = 64 if trial % 4 == 0 else rng.randint(3, 64)
+        n = (64, 65, 100)[trial // 4 % 3] if trial % 4 == 0 else rng.randint(3, 64)
         config = random_configuration(rng, n)
         mask = tuple(rng.random() < 0.5 for _ in config.positions)
         stepped = step_occupancy(occupancy(config), moving_mask(config, mask), n)
         try:
-            expected = occupancy(apply_step(config, mask))
+            expected = reference_apply_step(config, mask)
         except ValueError:  # every token annihilated
-            expected = 0
-        assert stepped == expected
+            assert stepped == 0
+            with pytest.raises(ValueError, match="all tokens annihilated"):
+                apply_step(config, mask)
+            continue
+        assert stepped == occupancy(expected)
+        assert apply_step(config, mask) == expected
+
+
+def test_positions_word_round_trip(rng):
+    for n in (3, 17, 64, 65, 100):
+        for _ in range(50):
+            config = random_configuration(rng, n)
+            word = positions_word(config.positions)
+            assert word == occupancy(config)
+            assert word_positions(word) == config.positions
+    assert word_positions(0) == ()
 
 
 def test_step_occupancy_wraps_at_word_boundary():
@@ -317,13 +350,13 @@ def test_step_occupancy_wraps_at_word_boundary():
 
 
 def test_step_occupancy_matches_bit_step(rng):
-    for _ in range(300):
-        n = rng.randrange(3, 64, 2)
+    for trial in range(300):
+        n = rng.choice((65, 100)) if trial % 4 == 0 else rng.randrange(3, 64, 2)
         bits = BitRing(tuple(rng.random() < 0.5 for _ in range(n)))
-        config = config_from_bits(bits)
+        config = Configuration(n, reference_token_positions(bits))
         flips = tuple(rng.random() < 0.5 for _ in config.positions)
         stepped = step_occupancy(occupancy(config), moving_mask(config, flips), n)
-        assert stepped == occupancy(config_from_bits(bit_step(bits, flips)))
+        assert stepped == occupancy(Configuration(n, reference_token_positions(reference_bit_step(bits, flips))))
 
 
 def test_occupancy_kernel_on_uint64_arrays(rng):
