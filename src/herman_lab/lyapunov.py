@@ -87,10 +87,10 @@ def f5(x: Sequence, check: bool = True):
     return total
 
 
-def f(x: Sequence, check: bool = True, alpha=ALPHA):
+def f(x: Sequence, check: bool = True):
     if check:
         check_simplex(x)
-    return f3(x, check=False) - alpha * f5(x, check=False)
+    return f3(x, check=False) - ALPHA * f5(x, check=False)
 
 
 def scalar_rotation_product(x: Sequence, j: int):
@@ -106,29 +106,27 @@ def _check_gap_vector(g: GapVector) -> None:
         raise ValueError("Lyapunov functions are defined for odd token counts")
 
 
-def V3(g: GapVector, exact: bool = True):
+def V3(g: GapVector) -> Fraction:
     """4 N^2 f3(g/N); by homogeneity equals 4 f3(g)/N on integer gaps."""
     _check_gap_vector(g)
     n = g.ring_size
-    val = Fraction(4 * f3(g.gaps, check=False), n)
-    return val if exact else float(val)
+    return Fraction(4 * f3(g.gaps, check=False), n)
 
 
-def V5(g: GapVector, exact: bool = True):
+def V5(g: GapVector) -> Fraction:
     """4 N^2 f5(g/N) = 4 f5(g)/N^3 on integer gaps."""
     _check_gap_vector(g)
     n = g.ring_size
-    val = Fraction(4 * f5(g.gaps, check=False), n**3)
-    return val if exact else float(val)
+    return Fraction(4 * f5(g.gaps, check=False), n**3)
 
 
-def V(g: GapVector, exact: bool = True, alpha=ALPHA):
+def V(g: GapVector, alpha=ALPHA) -> Fraction:
+    """V3 - alpha V5; `verify --alpha` corrupts alpha to show the drift check fails."""
     _check_gap_vector(g)
-    val = V3(g) - alpha * V5(g)
-    return val if exact else float(val)
+    return V3(g) - alpha * V5(g)
 
 
-def c_value(x: Sequence, k: int = 0, alpha=ALPHA):
+def c_value(x: Sequence, k: int = 0):
     """First-order critical value at rotation offset k.
 
     Linear part sums x over even indices in (1, K); the cubic correction
@@ -144,7 +142,7 @@ def c_value(x: Sequence, k: int = 0, alpha=ALPHA):
     for i2, i3, i4 in alternating_tuples(K, 3):
         if i2 >= 2 and i2 % 2 == 0:
             cubic += x[(i2 + k) % K] * x[(i3 + k) % K] * x[(i4 + k) % K]
-    return linear - alpha * cubic
+    return linear - ALPHA * cubic
 
 
 def second_order_sum(x: Sequence, k: int = 0):
@@ -159,8 +157,8 @@ def second_order_sum(x: Sequence, k: int = 0):
     return total
 
 
-def _partial_at_zero(x: Sequence, alpha=ALPHA):
-    """P = df/dx_0: pair sum minus alpha times the alternating quadruple sum."""
+def _partial_at_zero(x: Sequence):
+    """P = df/dx_0: pair sum minus ALPHA times the alternating quadruple sum."""
     K = len(x)
     pairs = 0
     for i1, i2 in alternating_tuples(K, 2):
@@ -170,21 +168,21 @@ def _partial_at_zero(x: Sequence, alpha=ALPHA):
     for i1, i2, i3, i4 in alternating_tuples(K, 4):
         if i1 % 2 == 1:
             quads += x[i1] * x[i2] * x[i3] * x[i4]
-    return pairs - alpha * quads
+    return pairs - ALPHA * quads
 
 
-def derivative_terms(x: Sequence, alpha=ALPHA):
+def derivative_terms(x: Sequence):
     """(P, Q, R) from the second-order expansion of f along d = (-1,0,1,0,...,0).
 
     P is df/dx_0; Q = P(x rotated by 2) - P(x) is the first-order
-    coefficient along d; R = -x_1 + alpha x_1 * sum over 2 < i3 < i4 < K
+    coefficient along d; R = -x_1 + ALPHA x_1 * sum over 2 < i3 < i4 < K
     (i3 odd, i4 even) of x_{i3} x_{i4} is the second-order coefficient.
     """
     K = len(x)
     if K < 5:
         raise ValueError("derivative terms need K >= 5")
-    p = _partial_at_zero(x, alpha)
+    p = _partial_at_zero(x)
     rotated = tuple(x[(i + 2) % K] for i in range(K))
-    q = _partial_at_zero(rotated, alpha) - p
-    r = -x[1] + alpha * x[1] * second_order_sum(x)
+    q = _partial_at_zero(rotated) - p
+    r = -x[1] + ALPHA * x[1] * second_order_sum(x)
     return p, q, r

@@ -472,7 +472,7 @@ SWEEP_CSV_HEADER = "N,K,gaps,expected_time,bound,pass"
 def sweep_rows(n: int, *, max_ring: int | None = None) -> list[SweepRow]:
     values = solve_all_exact(n, max_ring=max_ring)
     bound = theorem1_bound(n)
-    return [SweepRow(n, s, v, bound) for s, v in sorted(values.items(), key=lambda i: (len(i[0]), i[0]))]
+    return [SweepRow(n, s, v, bound) for s, v in values.items()]  # in enumerate_states order
 
 
 def sweep_csv_line(row: SweepRow) -> str:

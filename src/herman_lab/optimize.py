@@ -150,11 +150,14 @@ def _grad_fn(target: str, k: int):
 
 
 def _start_points(k: int, cfg: OptimizerConfig) -> list[np.ndarray]:
-    points = [np.full(k, 1.0 / k)]
+    """The uniform point, one three-token embedding and cfg.starts random points.
+
+    f3, f5 and f are invariant under rotation for odd K, so an ascent from a
+    rotated embedding would only retrace this one's path, rotated.
+    """
     embedding = np.zeros(k)
     embedding[:3] = 1.0 / 3.0
-    for shift in range(k):
-        points.append(np.roll(embedding, shift))
+    points = [np.full(k, 1.0 / k), embedding]
     for i in range(cfg.starts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, i)))
         points.append(rng.dirichlet(np.ones(k)))
@@ -264,8 +267,9 @@ def _lemma14_margins(x, c_values) -> list[float]:
 
 
 def maximize(target: str, k: int, cfg: OptimizerConfig, on_iterate=None) -> CriticalPointReport:
-    """Best point over multi-start projected ascent (uniform point, the
-    three-token boundary embeddings, and cfg.starts random starts)."""
+    """Best point over multi-start projected ascent: the uniform point, one
+    three-token boundary embedding (f3, f5 and f are rotation-invariant for
+    odd K, so its K - 1 rotations add nothing), and cfg.starts random starts."""
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
     if k < 3 or k % 2 == 0:

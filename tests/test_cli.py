@@ -377,12 +377,6 @@ def test_optimize_k_above_the_occupancy_word_is_exit_two(capsys):
     assert err.startswith("error: --k must be at most 63") and len(err.strip().splitlines()) == 1
 
 
-def test_optimize_at_the_largest_k_runs(capsys):
-    code, out, _ = run_cli(capsys, "optimize", "--target", "f", "--k", "63", "--starts", "1", "--max-iters", "1")
-    assert code == 0
-    assert json.loads(out.splitlines()[-1])["K"] == 63
-
-
 def test_defaults_are_the_parser_defaults(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--config", "N=9;gaps=3,3,3")
     assert code == 0

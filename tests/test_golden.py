@@ -29,11 +29,25 @@ across that change; it runs in about 3 s.  `exact --float --sweep 16`
 was recorded before each token count's block came to be built straight
 from its successor pass, as a float64 array: the float path's blocks
 were pinned only at N = 12 and 14 before, and this sweep's largest block
-has 715 rows; it runs in under a second.  An entry whose first
-two arguments another entry shares names its test `id`.
+has 715 rows; it runs in under a second.  Two were recorded before the
+optimizer came to ascend from one three-token embedding in place of all K
+rotations of it, and before `SparsePolynomial` came to sum its terms
+through one accumulator: `optimize --target f --k 63 --starts 1
+--max-iters 1`, the largest K the optimizer accepts, which pins its
+start points and its verdict there in about 1.5 s; and `verify identities
+--max-k 17`, which runs the identity checks past the K = 9 that `verify
+all --max-k 9` reaches, in under a second.  An entry whose first two
+arguments another entry shares names its test `id`.
 
 golden/demo_sha256.json holds the stdout sha256 of demos whose output
 pins a part of the library API that no CLI command prints.
+`03_drift_identities.py` prints `V`, `V3` and `V5`, and
+`04_polynomial_identities.py` tours `SparsePolynomial`; both were
+recorded before `V3`, `V5` and `V` lost their `exact` parameter, `f`,
+`c_value`, `derivative_terms` and `build_f` lost `alpha`, and the
+polynomial operations moved onto one accumulator.  Each runs in under
+half a second.  Demo 05, the optimizer tour, takes about 5 s, so CI
+checks its digest instead.
 """
 
 import hashlib

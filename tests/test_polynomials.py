@@ -129,6 +129,16 @@ def test_multiplication_tracks_multiplicity():
     }
 
 
+def test_multiplication_drops_cancelled_terms():
+    x0 = SparsePolynomial.variable(0, 3)
+    x1 = SparsePolynomial.variable(1, 3)
+    product = (x0 - x1) * (x0 + x1)
+    assert product == SparsePolynomial(3, {(0, 0): 1, (1, 1): -1})
+    assert (0, 1) not in product.terms
+    assert (product * 0).terms == {}
+    assert (Fraction(0) * product).terms == {}
+
+
 def test_substitution_expands_sums():
     p = SparsePolynomial.monomial((0, 1), 3)
     sub = p.substitute({0: SparsePolynomial.variable(0, 3) + SparsePolynomial.variable(2, 3)}, 3)
