@@ -45,16 +45,17 @@ def _frac_str(value: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each imports the modules it runs, so a process loads only its own
+# subcommands; each checks its flags, then imports the modules it runs, so a process
+# loads only its own and a refusal loads no numpy
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from . import montecarlo
     _check_seed(args.seed)
     config = parse_configuration(args.config)
     if args.runs < 1:
         raise ValueError("--runs must be >= 1")
     if config.token_count % 2 == 0:
         raise ValueError("simulation requires an odd token count (odd K)")
+    from . import montecarlo
     try:
         steps = montecarlo.run_steps(config, args.runs, args.seed)
     except MemoryError:
@@ -71,13 +72,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    from . import markov
     if (args.config is None) == (args.sweep is None):
         raise ValueError("provide exactly one of --config or --sweep")
     if args.config is not None:
         g = parse_gap_vector(args.config)
         if g.token_count % 2 == 0:
             raise ValueError("expected time requires an odd token count (odd K)")
+        from . import markov
         try:
             print(_frac_str(markov.expected_time_exact(g, max_ring=args.exact_capacity_n)))
         except CapacityError:
@@ -85,6 +86,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
                 raise
             print(repr(markov.expected_time_float(g, max_ring=args.float_capacity_n)))
         return 0
+    from . import markov
     n = args.sweep
     try:
         rows = markov.sweep_rows(n, max_ring=args.exact_capacity_n)
@@ -263,10 +265,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    from . import optimize
     _check_seed(args.seed)
     if args.k > OCCUPANCY_BITS - 1:  # the cost grows as K^5, so refuse before any of it is spent
         raise ValueError(f"--k must be at most {OCCUPANCY_BITS - 1}, the most tokens (K odd) a ring of {OCCUPANCY_BITS} holds, got {args.k}")
+    from . import optimize
     opt_cfg = optimize.OptimizerConfig(starts=args.opt_starts, seed=args.seed, max_iters=args.max_iters)
     report = optimize.maximize(args.target, args.k, opt_cfg)
     _print_record(report.to_record(), args.output_format)

@@ -118,18 +118,22 @@ class SparsePolynomial:
         """Replace each variable by a polynomial in a `num_vars`-variable space.
 
         Variables absent from the mapping are carried over as the same
-        index in the target space.
+        index in the target space.  Every term's expansion is summed into
+        one accumulator.
         """
-        acc = SparsePolynomial.zero(num_vars)
-        for mono, coeff in self.terms.items():
-            term = SparsePolynomial.constant(num_vars, coeff)
+
+        def expansion(mono: Monomial, coeff: Fraction):
+            pairs = [((), coeff)]
             for i in mono:
                 factor = mapping.get(i)
                 if factor is None:
-                    factor = SparsePolynomial.variable(i, num_vars)
-                term = term * factor
-            acc = acc + term
-        return acc
+                    pairs = [(m + (i,), c) for m, c in pairs]
+                else:
+                    pairs = [(m1 + m2, c1 * c2) for m1, c1 in pairs for m2, c2 in factor.terms.items()]
+            return ((tuple(sorted(m)), c) for m, c in pairs)
+
+        pairs = (pair for mono, coeff in self.terms.items() for pair in expansion(mono, coeff))
+        return SparsePolynomial.zero(num_vars)._with_terms(_accumulate({}, pairs))
 
     def evaluate(self, values: Sequence):
         total = Fraction(0) if all(isinstance(v, (int, Fraction)) for v in values) else 0.0

@@ -9,6 +9,9 @@ view (`BitRing`) of the original protocol, and the N-bit occupancy word
 occupancy words, and Herman's rule `bits ^ (coins & token_word(bits, n))`
 on bit words.  The position and bit views go through them by way of the
 `positions_word`/`word_positions` codec, on Python ints of any size.
+The uint64-array paths (`step_occupancy` with `out`, `necklace_key` of an
+array, `bracelet_key`) import numpy only when they are handed arrays, so
+the Python-int paths and the parsers load no numpy.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
-
-import numpy as np
 
 from .streams import CoinStream
 
@@ -192,6 +193,8 @@ def step_occupancy(occ, moving, n: int, out=None):
     """
     if out is None:
         return (occ & ~moving) ^ _rotl(moving, n)
+    import numpy as np
+
     np.right_shift(moving, n - 1, out=out)
     np.bitwise_xor(out, occ, out=out)
     np.bitwise_xor(out, moving, out=out)
@@ -212,16 +215,23 @@ def token_word(bits: int, n: int) -> int:
 
 
 def necklace_key(mask, n: int):
-    """Least of the n cyclic rotations of an n-bit mask: one key per necklace."""
+    """Least of the n cyclic rotations of an n-bit mask (a Python int or a uint64 array): one key per necklace."""
+    least = min
+    if not isinstance(mask, int):
+        import numpy as np
+
+        least = np.minimum
     key = mask
     for _ in range(n - 1):
         mask = _rotl(mask, n)
-        key = np.minimum(key, mask) if isinstance(key, np.ndarray) else min(key, mask)
+        key = least(key, mask)
     return key
 
 
-def bracelet_key(masks: np.ndarray, n: int) -> np.ndarray:
-    """Least necklace key of each n-bit mask and of its mirror image (bit i to bit n-1-i): one key per bracelet."""
+def bracelet_key(masks, n: int):
+    """Least necklace key of each n-bit mask of a uint64 array and of its mirror image (bit i to bit n-1-i): one key per bracelet."""
+    import numpy as np
+
     mirror = np.zeros_like(masks)
     for i in range(n):
         mirror |= (masks >> i & 1) << (n - 1 - i)

@@ -1,4 +1,4 @@
-"""Each CLI command loads only the modules it runs, and `import herman_lab` is lazy."""
+"""Each CLI command loads only the modules it runs, `import herman_lab` is lazy, and only array work loads numpy."""
 
 import json
 import os
@@ -20,12 +20,15 @@ EXPORTS = (
     "parse_configuration parse_gap_vector random_step CoinStream stream_key __version__"
 ).split()
 
-# runs the CLI, then prints its exit code and every module loaded
+# runs the CLI, then prints its exit code (also from --help or an argparse refusal) and every module loaded
 PROBE = """
 import contextlib, io, json, sys
 with contextlib.redirect_stdout(io.StringIO()):
     from herman_lab.cli import main
-    code = main(sys.argv[1:])
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
@@ -37,6 +40,14 @@ def _fresh_python(code: str, *argv: str):
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def _cli_modules(code: int, *argv: str) -> set[str]:
+    """The modules a fresh `cli.main(argv)` loads, after checking that it returns `code`."""
+    result = _fresh_python(PROBE, *argv)
+    assert result["code"] == code
+    assert "herman_lab.cli" in result["modules"]
+    return set(result["modules"])
 
 
 @pytest.mark.parametrize(
@@ -55,10 +66,35 @@ def _fresh_python(code: str, *argv: str):
     ],
 )
 def test_command_loads_only_its_own_modules(argv, absent):
-    result = _fresh_python(PROBE, *argv)
-    assert result["code"] == 0
-    assert "herman_lab.cli" in result["modules"]
-    assert not set(result["modules"]) & set(absent)
+    modules = _cli_modules(0, *argv)
+    assert "numpy" in modules  # both step uint64 arrays
+    assert not modules & set(absent)
+
+
+def test_import_cli_loads_no_numpy():
+    loaded = _fresh_python("import json, sys, herman_lab.cli; print(json.dumps(sorted(sys.modules)))")
+    assert "herman_lab.cli" in loaded and "herman_lab.ring" in loaded
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize(
+    "code, argv",
+    [
+        pytest.param(0, ("--help",), id="help"),
+        pytest.param(0, ("verify", "identities", "--max-k", "5"), id="verify-identities"),
+        pytest.param(2, ("simulate", "--config", "N=8;gaps=4,4"), id="simulate-even-k"),
+        pytest.param(2, ("simulate", "--config", "N=9;gaps=3,3,3", "--runs", "0"), id="simulate-runs"),
+        pytest.param(2, ("simulate", "--config", "N=9;gaps=3,3,3", "--seed", "-1"), id="simulate-seed"),
+        pytest.param(2, ("simulate", "--config", "N=9;gaps=3,3,4"), id="simulate-bad-config"),
+        pytest.param(2, ("exact",), id="exact-no-state"),
+        pytest.param(2, ("exact", "--config", "N=8;gaps=4,4"), id="exact-even-k"),
+        pytest.param(2, ("exact", "--sweep", "7", "--seed", "1"), id="exact-unread-flag"),
+        pytest.param(2, ("optimize", "--target", "f", "--k", "65"), id="optimize-k-cap"),
+        pytest.param(2, ("optimize", "--target", "f", "--k", "5", "--seed", "-1"), id="optimize-seed"),
+    ],
+)
+def test_commands_that_step_no_array_load_no_numpy(code, argv):
+    assert "numpy" not in _cli_modules(code, *argv)
 
 
 def test_import_herman_lab_loads_no_submodule():

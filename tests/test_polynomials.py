@@ -145,6 +145,27 @@ def test_substitution_expands_sums():
     assert sub.terms == {(0, 1): Fraction(1), (1, 2): Fraction(1)}
 
 
+def test_substitution_equals_the_sum_of_substituted_products():
+    """Against the term-by-term sum of polynomial products, with repeated indices, a zero and cancellations."""
+    x = [SparsePolynomial.variable(i, 4) for i in range(4)]
+    p = SparsePolynomial(4, {(0, 0, 1): 3, (0, 2): Fraction(-1, 2), (1, 3): 5, (2, 2): 1, (): 7, (3,): -2})
+    two = SparsePolynomial.constant(4, 2)
+    mapping = {0: x[1] - x[3], 1: SparsePolynomial.zero(4), 2: Fraction(1, 3) * x[0] + x[3] + two}
+
+    def reference(mono, coeff):
+        term = SparsePolynomial.constant(4, coeff)
+        for i in mono:
+            term = term * mapping.get(i, x[i])
+        return term
+
+    expected = SparsePolynomial.zero(4)
+    for mono, coeff in p.terms.items():
+        expected = expected + reference(mono, coeff)
+    assert p.substitute(mapping, 4) == expected
+    without_x3 = {mono: c for mono, c in p.terms.items() if 3 not in mono}
+    assert p.substitute({3: x[3] - x[3]}, 4) == SparsePolynomial(4, without_x3)
+
+
 # --- identity checks ----------------------------------------------------------
 
 @pytest.mark.parametrize("k", ODD_KS)
