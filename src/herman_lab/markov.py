@@ -8,11 +8,13 @@ keyed by necklace (least rotation) and mapped back to canonical gaps, so
 N is limited to the 64-bit word.  The drift identities read the same
 successors; their unmerged K-vectors are g plus each mask's +-1/0 gap
 increments, with no step taken.  Expected stabilization times are solved
-exactly over the reachable state space, ordered by token count so each
-linear block only references already-solved smaller blocks.  Each block
-is built from its token count's successor passes over a successor-closed
-state list (`_blocks`) and dropped before the next is built: no table of
-the whole list is kept, nor any solved value between calls.
+exactly over every state with at most the queried token count, which is
+the set a state of that count reaches (`enumerate_states`), ordered by
+token count so each linear block only references already-solved smaller
+blocks.  Each block is built from its token count's successor passes over
+a successor-closed state list (`_blocks`) and dropped before the next is
+built: no table of the whole list is kept, nor any solved value between
+calls.
 
 The exact solve has one row per reflection class, a state with its
 mirror image (the reversed gaps): the step commutes with mirroring, so
@@ -152,21 +154,30 @@ def successor_distribution(g: GapVector) -> TransitionLaw:
 # ---------------------------------------------------------------------------
 # state enumeration
 
-def enumerate_states(n: int) -> list[tuple[int, ...]]:
-    """All canonical odd-K gap vectors summing to n, ordered by (K, gaps).
+def enumerate_states(n: int, most: int | None = None) -> list[tuple[int, ...]]:
+    """All canonical gap vectors summing to n with an odd K <= most (default n), ordered by (K, gaps).
 
-    The keys (`_necklace_gaps`) are the n-bit words with an odd number of
-    clear bits that are their own least rotation, found in passes of at
-    most TABLE_PASS_WORDS words and ordered as in `_successor_counts`.
+    From a state of K tokens the chain reaches exactly these states with
+    most = K: moving one token onto a gap of 2 or more shifts one unit
+    between two neighbouring gaps, such moves connect every composition of
+    n into K parts, and a collision of two tokens leaves K - 2.  So the
+    list is closed under successors and under mirroring.
+
+    The keys (`_necklace_gaps`) of each K are built one bit at a time from
+    bit n-1 down: bit n-1 clear, K-1 of the bits below it clear.  A word
+    that is its own least rotation is kept, and ascending words of one K
+    spell ascending gaps, as in `_successor_counts`.
     """
     found = []
-    for lo in range(0, 1 << n, TABLE_PASS_WORDS):
-        words = np.arange(lo, min(lo + TABLE_PASS_WORDS, 1 << n), dtype=np.uint64)
-        words = words[(n - np.bitwise_count(words)) % 2 == 1]
+    for k in range(1, (n if most is None else most) + 1, 2):
+        words = np.zeros(1, dtype=np.uint64)
+        for placed in range(2, n + 1):
+            words = np.repeat(words << np.uint64(1), 2)
+            words[1::2] |= np.uint64(1)
+            ones = np.bitwise_count(words)  # at most K clear bits so far, and room left for K
+            words = words[(ones >= max(placed - k, 0)) & (ones <= n - k)]
         found.append(words[necklace_key(words, n) == words])
-    keys = np.concatenate(found)
-    order = np.lexsort((keys, n - np.bitwise_count(keys)))
-    return list(map(_necklace_gaps, repeat(n), keys[order].tolist()))
+    return list(map(_necklace_gaps, repeat(n), np.concatenate(found).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -283,21 +294,6 @@ def _solve_integer(a: np.ndarray, b: list[int]) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 # expected stabilization times
 
-def _reachable_states(n: int, seed: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The canonical states reachable from `seed` or its mirror image (so a mirror-closed list), in (K, gaps) order."""
-    seen = {seed, least_rotation(seed[::-1])}
-    frontier = list(seen)
-    while frontier:
-        keys: set[int] = set()
-        for _k, group in groupby(sorted(frontier, key=len), len):
-            for succ in _successor_keys(n, _token_bits(n, np.array(list(group), dtype=np.int64))):
-                flat = np.sort(succ, axis=None)
-                keys.update(flat[np.insert(flat[1:] != flat[:-1], 0, True)].tolist())
-        frontier = [s for s in map(_necklace_gaps, repeat(n), keys) if s not in seen]
-        seen.update(frontier)
-    return sorted(seen, key=lambda s: (len(s), s))
-
-
 def _state_keys(n: int, states: list[tuple[int, ...]]) -> np.ndarray:
     """The necklace key of each canonical state of a list in (K, gaps) order: the complement of its token word."""
     groups = [_token_bits(n, np.array(list(group), dtype=np.int64)) for _k, group in groupby(states, len)]
@@ -376,21 +372,23 @@ def _solve_states(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int, ...]
     return dict(zip(states, map(values.__getitem__, classes.tolist())))
 
 
-def _state_count(n: int) -> int:
-    """len(enumerate_states(n)) by Burnside's lemma: phi(d) rotations have cycles of length d,
-    and fix 2^(n/d - 1) words with an odd number of clear bits if d is odd, else none."""
+def _state_count(n: int, most: int) -> int:
+    """len(enumerate_states(n, most)) by Burnside's lemma: phi(d) rotations have n/d cycles of length d
+    and fix each word with m clear cycles, d m clear bits, which is odd and at most `most` for odd d and m."""
     phi = [sum(math.gcd(i, d) == 1 for i in range(d)) for d in range(n + 1)]
-    return sum(phi[d] << (n // d - 1) for d in range(1, n + 1, 2) if n % d == 0) // n
+    odd = [(d, m) for d in range(1, n + 1, 2) if n % d == 0 for m in range(1, most // d + 1, 2)]
+    return sum(phi[d] * math.comb(n // d, m) for d, m in odd) // n
 
 
-def _check_capacity(n: int, max_ring: int | None, default: int) -> None:
+def _check_capacity(n: int, most: int, max_ring: int | None, default: int) -> None:
+    """Refuse a solve over `enumerate_states(n, most)` on a ring above the capacity or the occupancy word."""
     if n < 3:
         raise ValueError(f"ring size must be at least 3, got {n}")
     _check_word(n)
     limit = default if max_ring is None else max_ring
     if n > limit:
         raise CapacityError(
-            f"ring size {n} exceeds the configured capacity {limit} ({_state_count(n)} states); "
+            f"ring size {n} exceeds the configured capacity {limit} ({_state_count(n, most)} states); "
             "raise the capacity explicitly to run larger instances"
         )
 
@@ -399,9 +397,8 @@ def expected_time_exact(g: GapVector, *, max_ring: int | None = None) -> Fractio
     """Exact E[T] for a gap vector with an odd number of tokens."""
     if g.token_count % 2 == 0:
         raise ValueError("stabilization time requires an odd token count")
-    _check_capacity(g.ring_size, max_ring, EXACT_RING_LIMIT)
-    seed = least_rotation(g.gaps)
-    return _solve_states(g.ring_size, _reachable_states(g.ring_size, seed))[seed]
+    _check_capacity(g.ring_size, g.token_count, max_ring, EXACT_RING_LIMIT)
+    return _solve_states(g.ring_size, enumerate_states(g.ring_size, g.token_count))[least_rotation(g.gaps)]
 
 
 def _solve_states_float(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int, ...], float]:
@@ -424,21 +421,19 @@ def expected_time_float(g: GapVector, *, max_ring: int | None = None) -> float:
     """Floating-point E[T] with a residual check on every solved block."""
     if g.token_count % 2 == 0:
         raise ValueError("stabilization time requires an odd token count")
-    _check_capacity(g.ring_size, max_ring, FLOAT_RING_LIMIT)
-    seed = least_rotation(g.gaps)
-    values = _solve_states_float(g.ring_size, _reachable_states(g.ring_size, seed))
-    return values[seed]
+    _check_capacity(g.ring_size, g.token_count, max_ring, FLOAT_RING_LIMIT)
+    return _solve_states_float(g.ring_size, enumerate_states(g.ring_size, g.token_count))[least_rotation(g.gaps)]
 
 
 def solve_all_float(n: int, *, max_ring: int | None = None) -> dict[tuple[int, ...], float]:
     """Float E[T] for every canonical odd-K state, one pass over the space."""
-    _check_capacity(n, max_ring, FLOAT_RING_LIMIT)
+    _check_capacity(n, n, max_ring, FLOAT_RING_LIMIT)
     return _solve_states_float(n, enumerate_states(n))
 
 
 def solve_all_exact(n: int, *, max_ring: int | None = None) -> dict[tuple[int, ...], Fraction]:
     """E[T] for every canonical odd-K state on a ring of n processes."""
-    _check_capacity(n, max_ring, EXACT_RING_LIMIT)
+    _check_capacity(n, n, max_ring, EXACT_RING_LIMIT)
     return _solve_states(n, enumerate_states(n))
 
 

@@ -75,6 +75,14 @@ def test_exact_capacity_error_names_the_refused_state_count(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("config, states", [("N=64;gaps=21,21,22", 652), ("N=17;gaps=5,5,7", 41)])
+def test_exact_config_capacity_error_names_the_states_the_query_solves(config, states, capsys):
+    # a single query solves the states with at most its token count, not the whole sweep's
+    code, out, err = run_cli(capsys, "exact", "--config", config)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: ring size {config[2:4]} exceeds the configured capacity 14 ({states} states); ")
+
+
 def test_exact_capacity_override_flag(capsys):
     code, out, _ = run_cli(
         capsys, "exact", "--config", "N=17;gaps=5,5,7", "--exact-capacity-n", "17"

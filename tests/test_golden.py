@@ -36,8 +36,15 @@ through one accumulator: `optimize --target f --k 63 --starts 1
 --max-iters 1`, the largest K the optimizer accepts, which pins its
 start points and its verdict there in about 1.5 s; and `verify identities
 --max-k 17`, which runs the identity checks past the K = 9 that `verify
-all --max-k 9` reaches, in under a second.  An entry whose first two
-arguments another entry shares names its test `id`.
+all --max-k 9` reaches, in under a second.  Two single queries were
+recorded before a query came to solve every state with at most its token
+count in place of a search for the states its seed reaches: `exact
+--config "N=64;gaps=21,21,22" --exact-capacity-n 64`, the paper's worst
+case of three equally spaced tokens on the largest ring the occupancy
+word holds; and `exact --float --config "N=16;gaps=1,2,3,4,6"`, whose
+float bits depend on the row order of the query's state list, so it pins
+that order for five tokens.  Each runs in about 0.2 s.  An entry whose
+first two arguments another entry shares names its test `id`.
 
 golden/demo_sha256.json holds the stdout sha256 of demos whose output
 pins a part of the library API that no CLI command prints.

@@ -2,6 +2,7 @@ import signal
 import weakref
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import combinations, groupby, product
 
 import numpy as np
@@ -256,7 +257,7 @@ def test_blocks_are_the_same_when_a_token_count_spans_passes(monkeypatch):
 
 
 def test_blocks_at_word_size():
-    states = markov._reachable_states(64, (21, 21, 22))
+    states = enumerate_states(64, 3)
     classes = np.arange(len(states))
     assert block_rows(64, states, classes) == class_summed_rows(64, states, classes)
 
@@ -444,7 +445,10 @@ def test_raised_capacity_stops_at_the_occupancy_word():
 
 def test_state_count_is_the_length_of_the_enumeration():
     for n in range(3, 21):
-        assert markov._state_count(n) == len(enumerate_states(n)), n
+        states = enumerate_states(n)
+        for most in range(1, n + 1, 2):
+            assert markov._state_count(n, most) == sum(len(s) <= most for s in states), (n, most)
+    assert markov._state_count(64, 3) == len(enumerate_states(64, 3)) == 652
 
 
 @pytest.mark.parametrize("n", [-3, 0, 1, 2])
@@ -572,8 +576,9 @@ def test_non_contracting_inverse_is_an_arithmetic_error(scale, monkeypatch):
 
 
 def test_each_token_count_is_strongly_connected_without_collisions():
-    # the exact solver relies on this: a solved state's reachable set holds
-    # its whole token count, so no block has a same-K successor outside it
+    # a single query relies on this: it solves every state with at most its
+    # token count K, which is the set it reaches only because a collision
+    # leaves K - 2 tokens and every token count is reached whole
     for n in range(3, 13):
         by_k = {}
         for s in enumerate_states(n):
@@ -644,7 +649,10 @@ def test_enumerate_states_counts_by_brute_force():
                 gaps = tuple(points[i + 1] - points[i] for i in range(k))
                 brute.add(min(gaps[i:] + gaps[:i] for i in range(k)))
         # the block solve relies on this order, not only on the set
-        assert enumerate_states(n) == sorted(brute, key=lambda s: (len(s), s))
+        expected = sorted(brute, key=lambda s: (len(s), s))
+        assert enumerate_states(n) == expected
+        for most in range(1, n + 1, 2):
+            assert enumerate_states(n, most) == [s for s in expected if len(s) <= most], (n, most)
 
 
 # --- drift identities ---------------------------------------------------------
@@ -836,19 +844,27 @@ def _is_closed(n, states):
     return all(succ in members for s in states for succ, _count in markov._successor_counts(n, s))
 
 
-def test_reachable_states_match_a_search_over_successor_counts(monkeypatch):
-    for n, seed in ((7, (1, 2, 4)), (9, (1, 1, 1, 1, 5)), (12, (1, 1, 1, 2, 2, 2, 3)), (13, (1,) * 11 + (2,))):
-        seen, stack = {seed}, [seed]
-        while stack:
-            for succ, _count in markov._successor_counts(n, stack.pop()):
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append(succ)
-        expected = sorted(seen, key=lambda s: (len(s), s))
-        assert markov._reachable_states(n, seed) == expected, n
-        monkeypatch.setattr(markov, "TABLE_PASS_WORDS", 1 << 4)  # one state of K >= 4 per pass
-        assert markov._reachable_states(n, seed) == expected, n
-        monkeypatch.undo()
+def _reached(n, seed, successors):
+    """The states a search over `successors(state)` reaches from `seed`, in (K, gaps) order."""
+    seen, stack = {seed}, [seed]
+    while stack:
+        for succ, _count in successors(stack.pop()):
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return sorted(seen, key=lambda s: (len(s), s))
+
+
+def test_reachable_states_match_a_search_over_successor_counts():
+    for n, seed in ((7, (1, 2, 4)), (9, (1, 1, 1, 1, 5)), (12, (1, 1, 1, 2, 2, 2, 3)), (13, (1,) * 10 + (3,))):
+        assert enumerate_states(n, len(seed)) == _reached(n, seed, partial(markov._successor_counts, n)), n
+
+
+def test_every_state_reaches_each_state_with_at_most_its_token_count():
+    for n in range(3, 12):
+        successors = lru_cache(maxsize=None)(partial(markov._successor_counts, n))
+        for s in enumerate_states(n):
+            assert enumerate_states(n, len(s)) == _reached(n, s, successors), s
 
 
 def test_a_solve_keeps_nothing_between_calls(monkeypatch):
@@ -869,21 +885,21 @@ def test_a_solve_keeps_nothing_between_calls(monkeypatch):
     assert set(stepped) == every_k
     stepped.clear()
     assert markov.expected_time_exact(GapVector(11, (1, 1, 9)), max_ring=11) == expected[(1, 1, 9)]
-    assert set(stepped) == {1, 3}
+    assert set(stepped) == {3}
 
 
 @pytest.mark.parametrize(
-    "n, seed", [(7, (1, 2, 4)), (12, (1, 1, 1, 2, 2, 2, 3)), (13, (1,) * 11 + (2,)), (15, (1, 2, 3, 4, 5))]
+    "n, seed", [(7, (1, 2, 4)), (12, (1, 1, 1, 2, 2, 2, 3)), (13, (1,) * 10 + (3,)), (15, (1, 2, 3, 4, 5))]
 )
 def test_reachable_states_are_closed_under_successors_and_mirroring(n, seed):
-    states = markov._reachable_states(n, seed)
+    states = enumerate_states(n, len(seed))
     assert seed in states and mirror(seed) in states
     assert _is_closed(n, states)
     assert {mirror(s) for s in states} == set(states)
 
 
 def test_state_space_reachable_and_closed():
-    states = markov._reachable_states(7, (1, 2, 4))
+    states = enumerate_states(7, 3)
     assert (7,) in states  # absorbing class present
     assert _is_closed(7, states)
     assert len(set(states)) == len(states)
