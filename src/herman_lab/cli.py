@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lyapunov import ALPHA, TARGETS, V, V3, V5
-from .ring import OCCUPANCY_BITS, CapacityError, GapVector, StepLimitError, parse_configuration, parse_gap_vector
+from .ring import OCCUPANCY_BITS, CapacityError, GapVector, StepLimitError, check_simulator_ring, parse_configuration, parse_gap_vector
 from .streams import MASK64, CoinStream, stream_key
 
 OUTPUT_FORMATS = ("json", "csv")
@@ -55,6 +55,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("--runs must be >= 1")
     if config.token_count % 2 == 0:
         raise ValueError("simulation requires an odd token count (odd K)")
+    check_simulator_ring(config.ring_size)
     from . import montecarlo
     try:
         steps = montecarlo.run_steps(config, args.runs, args.seed)

@@ -14,13 +14,17 @@ Run i consumes only the stream derived as stream_key(master_seed, i)
 (see `streams`), so estimates are bit-identical however runs are
 batched.
 
-`run_steps` steps a batch of runs as uint64 arrays, one slot per run,
-and a step allocates nothing: the stream counters advance and are
-scrambled in place into a coin buffer, and `step_occupancy` writes the
-next words into a second buffer that then swaps with the first.  An
-absorbed run is retired by recording its step count and zeroing its
-word, which the step keeps at 0 and which has popcount 0.  The arrays
-are compacted only once more than a quarter of their slots are retired.
+`run_steps` steps a batch of runs as uint64 arrays, one slot per run, in
+blocks of steps.  A block draws all its coin words at once, straight from
+the stream keys, since word t of a run depends only on its key and t;
+each step then writes the next words into one row of a history array, and
+only the block's last row is checked for absorption.  A block is one step
+while the batch is large and up to MAX_BLOCK_STEPS once few runs are left,
+so the short tail of slow runs pays few calls per step.  An absorbed run
+is retired by recording its step count and zeroing its word, which the
+step keeps at 0 and which has popcount 0.  The arrays are compacted once
+the steps spent on retired slots add up to half a step of all slots, a
+little less than a compaction costs.
 """
 
 from __future__ import annotations
@@ -30,12 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import OCCUPANCY_BITS, Configuration, StepLimitError, positions_word, step_occupancy, token_word, word_positions
+from .ring import OCCUPANCY_BITS, Configuration, StepLimitError, check_simulator_ring, positions_word, step_occupancy, token_word, word_positions
 from .streams import GOLDEN, MASK64, SCRAMBLE_MULTIPLIERS, SCRAMBLE_SHIFTS, CoinStream
 
 DEFAULT_STEP_CAP_FACTOR = 100  # cap = factor * N^2; a breach is a bug, not a sample
-COMPACT_DIVISOR = 4  # compact a batch once more than a quarter of its slots are retired
+COMPACT_DIVISOR = 2  # compact once the steps spent on retired slots add up to half a step of all slots
 BATCH_RUNS = 1 << 16  # runs stepped together; any size gives the same step counts
+BLOCK_WORDS = 1 << 16  # words of one block's coin array; a block of a full batch is one step
+MAX_BLOCK_STEPS = 256  # steps of one block at most, whatever few runs are left
 
 
 @dataclass(frozen=True)
@@ -107,54 +113,69 @@ def _stream_keys(master_seed: int, lo: int, hi: int) -> np.ndarray:
 def _run_batch(occ0: int, n: int, master_seed: int, lo: int, hi: int, cap: int) -> np.ndarray:
     """Step all runs [lo, hi) to absorption; returns their step counts.
 
-    A step allocates nothing.  One array slot per run holds its occupancy
-    word (`occ`) and its stream counter (`state`); the coin word, the next
-    occupancy word, a shift scratch, the popcounts and the done flags are
-    allocated once.  The counter and the splitmix64 finalizer run in place
-    and `ring.step_occupancy` writes into the next-word buffer, which then
-    swaps with `occ`.  A run is retired at absorption by recording its step
-    count and zeroing its word: 0 is a fixed point of the step with
-    popcount 0, so the run is never counted again.  The arrays are
-    compacted only when more than 1/COMPACT_DIVISOR of their slots are
-    retired, so a step pays for retired slots at most that share of its
-    work, and compaction runs a logarithmic number of times.
+    The batch advances in blocks of b steps, b = BLOCK_WORDS // slots
+    clamped to [1, MAX_BLOCK_STEPS], to the steps left under the cap and
+    to the steps already taken.  So a block of a large batch is one step,
+    a block of a short tail is hundreds, and the last block at most
+    doubles the steps of a batch whose runs are all short.  Word t of run
+    i is scramble(key_i + t * GOLDEN) (see `streams`), so one add of the
+    keys and the block's offsets and one in-place scramble draw a
+    (b, slots) coin array; no counter advances.  Step j writes row j of a
+    (b, slots) history whose rows are the scramble's scratch until then,
+    and the current word is a view of the last row written; two history
+    buffers take turns, so the next block's scratch never overwrites it.
+
+    A popcount of 1 is absorbing, since a lone token never meets another,
+    so only the last row is checked: a run that finished in the block has
+    popcount 1 there, and its first row with popcount 1 is its step count.
+    It is then retired by zeroing its word: 0 is a fixed point of the step
+    with popcount 0, so the run is never counted again.  A compaction
+    gathers three arrays by one index array, which costs a little less
+    than a step of all slots, so the arrays are compacted once the
+    slot-steps spent on retired runs since the last one exceed
+    slots / COMPACT_DIVISOR.  A batch whose runs end fast then compacts
+    every few steps, and one with a long tail after a few percent retire.
     """
     count = hi - lo
     steps = np.zeros(count, dtype=np.int64)
     if occ0.bit_count() == 1:
         return steps
-    state = _stream_keys(master_seed, lo, hi)
+    keys = _stream_keys(master_seed, lo, hi)
     occ = np.full(count, occ0, dtype=np.uint64)
-    nxt = np.empty_like(occ)
-    coin = np.empty_like(occ)
-    scratch = np.empty_like(occ)
-    pop = np.empty(count, dtype=np.uint8)
-    done = np.empty(count, dtype=bool)
+    size = max(BLOCK_WORDS, count)
+    coins, history, spare = (np.empty(size, dtype=np.uint64) for _ in range(3))
     orig = np.arange(count)
-    live, retired, t = count, 0, 0
+    live, retired, idle, t = count, 0, 0, 0
     while live:
         if t >= cap:
             # retired zero words may sit anywhere; orig stays ascending
             raise StepLimitError(cap, run_index=lo + int(orig[np.flatnonzero(occ)[0]]))
-        np.add(state, GOLDEN, out=state)
-        # coins above bit n-1 meet no token, so the word needs no masking
-        np.bitwise_and(_scramble_into(state, coin, scratch), occ, out=coin)
-        occ, nxt = step_occupancy(occ, coin, n, out=nxt), occ
-        t += 1
-        np.equal(np.bitwise_count(occ, out=pop), 1, out=done)
-        if not done.any():
-            continue
-        finished = done.nonzero()[0]
-        steps[orig[finished]] = t
-        occ[finished] = 0
-        live -= finished.size
-        retired += finished.size
-        if live and retired * COMPACT_DIVISOR > occ.size:
-            keep = occ != 0
-            occ, state, orig = occ[keep], state[keep], orig[keep]
-            size = occ.size
-            nxt, coin, scratch, pop, done = nxt[:size], coin[:size], scratch[:size], pop[:size], done[:size]
-            retired = 0
+        if idle * COMPACT_DIVISOR > occ.size:
+            keep = np.flatnonzero(occ)
+            occ, keys, orig = occ[keep], keys[keep], orig[keep]
+            retired = idle = 0
+        slots = occ.size
+        b = max(1, min(BLOCK_WORDS // slots, MAX_BLOCK_STEPS, cap - t, t))
+        coin = coins[: b * slots].reshape(b, slots)
+        rows = history[: b * slots].reshape(b, slots)
+        np.add(keys, np.multiply(np.arange(t + 1, t + b + 1, dtype=np.uint64), GOLDEN)[:, None], out=coin)
+        _scramble_into(coin, coin, rows)
+        for j in range(b):
+            # coins above bit n-1 meet no token, so the word needs no masking
+            moving = coin[j]
+            np.bitwise_and(moving, occ, out=moving)
+            occ = step_occupancy(occ, moving, n, out=rows[j])
+        history, spare = spare, history
+        t += b
+        idle += retired * b
+        done = np.bitwise_count(occ) == 1
+        if done.any():
+            finished = done.nonzero()[0]
+            first = (np.bitwise_count(rows[:, finished]) == 1).argmax(axis=0) if b > 1 else 0
+            steps[orig[finished]] = t - b + 1 + first
+            occ[finished] = 0
+            live -= finished.size
+            retired += finished.size
     return steps
 
 
@@ -165,8 +186,7 @@ def run_steps(config: Configuration, runs: int, master_seed: int, *, step_cap: i
     if runs < 1:
         raise ValueError("runs must be >= 1")
     n = config.ring_size
-    if n > OCCUPANCY_BITS:
-        raise ValueError(f"ring size {n} exceeds the {OCCUPANCY_BITS}-process occupancy word of the simulator")
+    check_simulator_ring(n)
     cap = _default_cap(n, step_cap)
     occ0 = positions_word(config.positions)
     out = np.empty(runs, dtype=np.int64)

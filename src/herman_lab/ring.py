@@ -178,6 +178,12 @@ def _rotl(mask, n: int):
     return ((mask << 1) | (mask >> (n - 1))) & ((1 << n) - 1)
 
 
+def check_simulator_ring(n: int) -> None:
+    """Refuse a ring of more processes than the simulator's uint64 occupancy word holds."""
+    if n > OCCUPANCY_BITS:
+        raise ValueError(f"ring size {n} exceeds the {OCCUPANCY_BITS}-process occupancy word of the simulator")
+
+
 def step_occupancy(occ, moving, n: int, out=None):
     """One synchronous step of the n-bit occupancy mask `occ` (bit p-1 is process p).
 

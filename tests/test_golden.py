@@ -43,7 +43,14 @@ count in place of a search for the states its seed reaches: `exact
 case of three equally spaced tokens on the largest ring the occupancy
 word holds; and `exact --float --config "N=16;gaps=1,2,3,4,6"`, whose
 float bits depend on the row order of the query's state list, so it pins
-that order for five tokens.  Each runs in about 0.2 s.  An entry whose
+that order for five tokens.  Each runs in about 0.2 s.  `simulate
+--config "N=63;gaps=21,21,21" --runs 70000 --seed 42` was recorded
+before the simulator came to step each batch in blocks of steps, with
+its coins drawn straight from the stream keys and one absorption check
+per block: it is the paper's worst case, its 70 000 runs span one full
+batch of 65 536 and a short one of 4 464, and its slowest run takes
+5 097 steps, so it pins the step counts of long tails in about 0.5 s.
+An entry whose
 first two arguments another entry shares names its test `id`.
 
 golden/demo_sha256.json holds the stdout sha256 of demos whose output

@@ -86,6 +86,7 @@ def test_import_cli_loads_no_numpy():
         pytest.param(2, ("simulate", "--config", "N=9;gaps=3,3,3", "--runs", "0"), id="simulate-runs"),
         pytest.param(2, ("simulate", "--config", "N=9;gaps=3,3,3", "--seed", "-1"), id="simulate-seed"),
         pytest.param(2, ("simulate", "--config", "N=9;gaps=3,3,4"), id="simulate-bad-config"),
+        pytest.param(2, ("simulate", "--config", "N=99;gaps=33,33,33"), id="simulate-ring-size"),
         pytest.param(2, ("exact",), id="exact-no-state"),
         pytest.param(2, ("exact", "--config", "N=8;gaps=4,4"), id="exact-even-k"),
         pytest.param(2, ("exact", "--sweep", "7", "--seed", "1"), id="exact-unread-flag"),

@@ -57,6 +57,13 @@ def test_scalar_and_vectorized_runs_agree(n, gaps, runs, monkeypatch):
     config = state(n, gaps)
     scalar = [simulate_once(config, CoinStream.from_seed(42, i)) for i in range(runs)]
     assert run_steps(config, runs, 42).tolist() == scalar
+    # (BLOCK_WORDS, MAX_BLOCK_STEPS): one step per block; blocks bounded only by the
+    # steps taken and the cap, so the last one steps past every run's absorption;
+    # blocks of 7 steps, which end between most runs' absorptions
+    for words, most in ((1, 1), (1 << 20, 1 << 20), (1 << 20, 7)):
+        monkeypatch.setattr(mc, "BLOCK_WORDS", words)
+        monkeypatch.setattr(mc, "MAX_BLOCK_STEPS", most)
+        assert run_steps(config, runs, 42).tolist() == scalar
     # three batches, the last one short: batching changes no step count
     monkeypatch.setattr(mc, "BATCH_RUNS", runs // 3 + 1)
     assert run_steps(config, runs, 42).tolist() == scalar
@@ -111,12 +118,20 @@ def _breaches_cap(config, seed, run, cap):
     return False
 
 
-@pytest.mark.parametrize("cap", (0, 4, 7))
+@pytest.mark.parametrize("cap", (0, 4, 7, 42, 43))
 def test_step_cap_breach_is_an_error(cap):
     # at seed 1, run 0 takes 4 steps: with cap 4 its retired zero word leads
-    # the array, and with cap 7 a compaction has already happened
+    # the array, and cap 7 ends the block from step 4 to 8 early.  The longest
+    # run, run 65, takes 43 steps: cap 42 ends the block from step 32 to 64
+    # early, after two compactions, and with cap 43 the run absorbs on the last
+    # step the cap allows, which is no breach, as in simulate_once
     config = state(9, (3, 3, 3))
-    first = next(i for i in range(100) if _breaches_cap(config, 1, i, cap))
+    first = next((i for i in range(100) if _breaches_cap(config, 1, i, cap)), None)
+    if first is None:
+        scalar = [simulate_once(config, CoinStream.from_seed(1, i), step_cap=cap) for i in range(100)]
+        assert max(scalar) == cap
+        assert run_steps(config, 100, 1, step_cap=cap).tolist() == scalar
+        return
     with pytest.raises(StepLimitError) as info:
         run_steps(config, 100, 1, step_cap=cap)
     assert info.value.run_index == first
