@@ -4,7 +4,7 @@
 from fractions import Fraction
 
 from herman_lab import GapVector, expected_time_exact, max_expected_time, theorem1_bound
-from herman_lab.markov import successor_distribution, sweep_rows
+from herman_lab.markov import solve_all_exact, successor_distribution
 
 # The one-step law of the smallest interesting ring: three adjacent tokens
 # on three processes collide with probability 3/4.
@@ -29,8 +29,9 @@ for n in (6, 9, 12):
     worst, value = max_expected_time(n)
     print(f"N={n}: worst state {worst.gaps} takes {value} <= {theorem1_bound(n)}")
 
-# Full sweeps are available as CSV rows, one per canonical state.
-rows = sweep_rows(7)
-print(f"N=7 has {len(rows)} canonical states; slowest three:")
-for row in sorted(rows, key=lambda r: r.expected_time)[-3:]:
-    print("  ", row.gaps, row.expected_time)
+# A full sweep solves every canonical state at once; `exact --sweep` prints
+# it as CSV rows, one per state.
+values = solve_all_exact(7)
+print(f"N=7 has {len(values)} canonical states; slowest three:")
+for gaps, et in sorted(values.items(), key=lambda item: item[1])[-3:]:
+    print("  ", gaps, et)

@@ -16,8 +16,9 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
-from .lyapunov import ALPHA, TARGETS, V, V3, V5
-from .ring import OCCUPANCY_BITS, CapacityError, GapVector, StepLimitError, check_simulator_ring, parse_configuration, parse_gap_vector
+from .lyapunov import ALPHA, TARGETS, V, V3, V5, check_odd_k
+from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, OCCUPANCY_BITS, CapacityError, GapVector, StepLimitError
+from .ring import _check_capacity, check_simulator_ring, parse_configuration, parse_gap_vector
 from .streams import MASK64, CoinStream, stream_key
 
 OUTPUT_FORMATS = ("json", "csv")
@@ -34,7 +35,7 @@ def _print_record(record: dict, fmt: str) -> None:
         writer = csv.writer(sys.stdout)
         writer.writerow(keys)
         writer.writerow(
-            [json.dumps(record[k]) if isinstance(record[k], (list, dict)) else record[k] for k in keys]
+            [json.dumps(record[k]) if isinstance(record[k], (list, tuple, dict)) else record[k] for k in keys]
         )
     else:
         print(json.dumps(record))
@@ -72,6 +73,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _takes_exact(n: int, most: int, args: argparse.Namespace) -> bool:
+    """Whether the exact solve over `enumerate_states(n, most)` is in capacity, else the float one (CapacityError if neither is)."""
+    try:
+        _check_capacity(n, most, args.exact_capacity_n, EXACT_RING_LIMIT)
+        return True
+    except CapacityError:
+        if not args.use_float:
+            raise
+    _check_capacity(n, most, args.float_capacity_n, FLOAT_RING_LIMIT)
+    return False
+
+
 def cmd_exact(args: argparse.Namespace) -> int:
     if (args.config is None) == (args.sweep is None):
         raise ValueError("provide exactly one of --config or --sweep")
@@ -79,55 +92,41 @@ def cmd_exact(args: argparse.Namespace) -> int:
         g = parse_gap_vector(args.config)
         if g.token_count % 2 == 0:
             raise ValueError("expected time requires an odd token count (odd K)")
+        exact = _takes_exact(g.ring_size, g.token_count, args)
         from . import markov
-        try:
+        if exact:
             print(_frac_str(markov.expected_time_exact(g, max_ring=args.exact_capacity_n)))
-        except CapacityError:
-            if not args.use_float:
-                raise
+        else:
             print(repr(markov.expected_time_float(g, max_ring=args.float_capacity_n)))
         return 0
-    from . import markov
     n = args.sweep
-    try:
-        rows = markov.sweep_rows(n, max_ring=args.exact_capacity_n)
-    except CapacityError:
-        if not args.use_float:
-            raise
-        return _float_sweep(n, args.float_capacity_n)
-    print(markov.SWEEP_CSV_HEADER)
-    for row in rows:
-        print(markov.sweep_csv_line(row))
-    best = max(rows, key=lambda r: r.expected_time)
-    verdict = {
-        "verdict": "PASS" if all(r.passed for r in rows) else "FAIL",
-        "N": n,
-        "max_num": best.expected_time.numerator,
-        "max_den": best.expected_time.denominator,
-        "argmax_gaps": list(best.gaps),
-        "bound_num": best.bound.numerator,
-        "bound_den": best.bound.denominator,
-    }
-    print(json.dumps(verdict))
-    return 0 if verdict["verdict"] == "PASS" else 1
-
-
-def _float_sweep(n: int, max_ring: int | None) -> int:
+    exact = _takes_exact(n, n, args)
     from . import markov
-    bound = float(markov.theorem1_bound(n))
-    values = markov.solve_all_float(n, max_ring=max_ring)
-    print(markov.SWEEP_CSV_HEADER)
-    worst = (None, -1.0)
-    ok = True
-    for state, et in values.items():  # in enumerate_states order: (K, gaps)
-        passed = et <= bound + 1e-9
-        ok = ok and passed
-        if et > worst[1]:
-            worst = (state, et)
-        gaps = "|".join(str(x) for x in state)
-        print(f"{n},{len(state)},{gaps},{et!r},{bound!r},{int(passed)}")
-    print(json.dumps({"verdict": "PASS" if ok else "FAIL", "N": n, "max": worst[1], "argmax_gaps": list(worst[0])}))
+    bound = markov.theorem1_bound(n)
+    if exact:
+        values = markov.solve_all_exact(n, max_ring=args.exact_capacity_n)
+        ok, argmax, most = _print_sweep(n, values, bound, bound, _frac_str)
+        fields = {"max_num": most.numerator, "max_den": most.denominator, "argmax_gaps": list(argmax),
+                  "bound_num": bound.numerator, "bound_den": bound.denominator}
+    else:
+        values = markov.solve_all_float(n, max_ring=args.float_capacity_n)
+        ok, argmax, most = _print_sweep(n, values, float(bound), float(bound) + 1e-9, repr)
+        fields = {"max": most, "argmax_gaps": list(argmax)}
+    print(json.dumps({"verdict": "PASS" if ok else "FAIL", "N": n, **fields}))
     return 0 if ok else 1
+
+
+def _print_sweep(n: int, values: dict, bound, limit, write) -> tuple:
+    """Print the CSV of a sweep's values, each number written by `write`, a row passing at `limit` or less.
+
+    Returns whether every row passed, and the first state with the largest value, and that value."""
+    from . import markov
+    print(markov.SWEEP_CSV_HEADER)
+    written = write(bound)
+    for gaps, et in values.items():  # in enumerate_states order: (K, gaps)
+        print(markov.sweep_csv_line(n, gaps, write(et), written, et <= limit))
+    argmax, most = max(values.items(), key=lambda item: item[1])
+    return all(et <= limit for et in values.values()), argmax, most
 
 
 def _random_gap_state(rng_stream: CoinStream, k: int, n: int) -> GapVector:
@@ -269,6 +268,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     if args.k > OCCUPANCY_BITS - 1:  # the cost grows as K^5, so refuse before any of it is spent
         raise ValueError(f"--k must be at most {OCCUPANCY_BITS - 1}, the most tokens (K odd) a ring of {OCCUPANCY_BITS} holds, got {args.k}")
+    if args.opt_starts >= 1 and args.max_iters >= 1:  # else `OptimizerConfig` refuses those first
+        check_odd_k(args.k)
     from . import optimize
     opt_cfg = optimize.OptimizerConfig(starts=args.opt_starts, seed=args.seed, max_iters=args.max_iters)
     report = optimize.maximize(args.target, args.k, opt_cfg)

@@ -53,6 +53,12 @@ def alternating_tuples(k: int, length: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def check_odd_k(k: int, minimum: int = 3) -> None:
+    """Refuse a token count that is even or below `minimum`."""
+    if k < minimum or k % 2 == 0:
+        raise ValueError(f"K must be odd and >= {minimum}")
+
+
 def _is_exact(x: Sequence) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in x)
 

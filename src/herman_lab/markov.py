@@ -48,7 +48,8 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .lyapunov import ALPHA, V, V3, V5, f3, f5
-from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, OCCUPANCY_BITS, CapacityError, GapVector
+from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, GapVector, _check_capacity, _check_word
+from .ring import CapacityError  # noqa: F401 -- what the solves raise, through `_check_capacity`
 from .ring import bracelet_key, least_rotation, necklace_key, step_occupancy
 
 FLOAT_RESIDUAL_TOL = 1e-9
@@ -94,11 +95,6 @@ def theorem1_bound(n: int) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # one-step dynamics on the occupancy mask
-
-def _check_word(n: int) -> None:
-    if n > OCCUPANCY_BITS:
-        raise CapacityError(f"ring size {n} exceeds the {OCCUPANCY_BITS}-process occupancy word")
-
 
 def _necklace_gaps(n: int, key: int) -> tuple[int, ...]:
     """Canonical gap vector of a successor key from `_successor_counts`.
@@ -372,27 +368,6 @@ def _solve_states(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int, ...]
     return dict(zip(states, map(values.__getitem__, classes.tolist())))
 
 
-def _state_count(n: int, most: int) -> int:
-    """len(enumerate_states(n, most)) by Burnside's lemma: phi(d) rotations have n/d cycles of length d
-    and fix each word with m clear cycles, d m clear bits, which is odd and at most `most` for odd d and m."""
-    phi = [sum(math.gcd(i, d) == 1 for i in range(d)) for d in range(n + 1)]
-    odd = [(d, m) for d in range(1, n + 1, 2) if n % d == 0 for m in range(1, most // d + 1, 2)]
-    return sum(phi[d] * math.comb(n // d, m) for d, m in odd) // n
-
-
-def _check_capacity(n: int, most: int, max_ring: int | None, default: int) -> None:
-    """Refuse a solve over `enumerate_states(n, most)` on a ring above the capacity or the occupancy word."""
-    if n < 3:
-        raise ValueError(f"ring size must be at least 3, got {n}")
-    _check_word(n)
-    limit = default if max_ring is None else max_ring
-    if n > limit:
-        raise CapacityError(
-            f"ring size {n} exceeds the configured capacity {limit} ({_state_count(n, most)} states); "
-            "raise the capacity explicitly to run larger instances"
-        )
-
-
 def expected_time_exact(g: GapVector, *, max_ring: int | None = None) -> Fraction:
     """Exact E[T] for a gap vector with an odd number of tokens."""
     if g.token_count % 2 == 0:
@@ -449,32 +424,12 @@ def max_expected_time(n: int, *, max_ring: int | None = None) -> tuple[GapVector
     return GapVector(n, best_state), best_value
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    n: int
-    gaps: tuple[int, ...]
-    expected_time: Fraction
-    bound: Fraction
-
-    @property
-    def passed(self) -> bool:
-        return self.expected_time <= self.bound
-
-
 SWEEP_CSV_HEADER = "N,K,gaps,expected_time,bound,pass"
 
 
-def sweep_rows(n: int, *, max_ring: int | None = None) -> list[SweepRow]:
-    values = solve_all_exact(n, max_ring=max_ring)
-    bound = theorem1_bound(n)
-    return [SweepRow(n, s, v, bound) for s, v in values.items()]  # in enumerate_states order
-
-
-def sweep_csv_line(row: SweepRow) -> str:
-    gaps = "|".join(str(g) for g in row.gaps)
-    et = f"{row.expected_time.numerator}/{row.expected_time.denominator}"
-    bd = f"{row.bound.numerator}/{row.bound.denominator}"
-    return f"{row.n},{len(row.gaps)},{gaps},{et},{bd},{int(row.passed)}"
+def sweep_csv_line(n: int, gaps: tuple[int, ...], expected_time: str, bound: str, passed: bool) -> str:
+    """One row under SWEEP_CSV_HEADER; E[T] and the bound come written (a/b on the exact sweep, repr on the float one)."""
+    return f"{n},{len(gaps)},{'|'.join(map(str, gaps))},{expected_time},{bound},{int(passed)}"
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ little less than a compaction costs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,16 +54,7 @@ class SimStats:
     max_steps: int
     seed: int
 
-    def to_record(self) -> dict:
-        return {
-            "runs": self.runs,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "ci95": [self.ci95[0], self.ci95[1]],
-            "min_steps": self.min_steps,
-            "max_steps": self.max_steps,
-            "seed": self.seed,
-        }
+    to_record = asdict  # the record's keys are the fields, in this order
 
 
 def _default_cap(n: int, step_cap: int | None) -> int:

@@ -13,14 +13,14 @@ interior local maximum would have to satisfy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import lyapunov
-from .lyapunov import ALPHA, TARGETS, alternating_tuples
+from .lyapunov import ALPHA, TARGETS, alternating_tuples, check_odd_k
 
 ONE_27 = 1.0 / 27.0
 STEP_SIZE = 0.5  # first trial step of each backtracking line search
@@ -41,34 +41,21 @@ class OptimizerConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class CriticalPointReport:
+    target: str = "f"
     point: tuple[float, ...]
     value: float
     interior: bool
+    converged: bool = False
+    grad_norm: float = math.nan
     c_values: tuple[float, ...]
     second_order: tuple[float, ...]
     cor11_lhs: float
     lemma14_margin: float
     lemma12_check: bool | None
-    target: str = "f"
-    grad_norm: float = math.nan
-    converged: bool = False
 
-    def to_record(self) -> dict:
-        return {
-            "target": self.target,
-            "point": list(self.point),
-            "value": self.value,
-            "interior": self.interior,
-            "converged": self.converged,
-            "grad_norm": self.grad_norm,
-            "c_values": list(self.c_values),
-            "second_order": list(self.second_order),
-            "cor11_lhs": self.cor11_lhs,
-            "lemma14_margin": self.lemma14_margin,
-            "lemma12_check": self.lemma12_check,
-        }
+    to_record = asdict  # the record's keys are the fields, in this order
 
 
 @dataclass
@@ -164,28 +151,31 @@ def _start_points(k: int, cfg: OptimizerConfig) -> list[np.ndarray]:
     return points
 
 
-def _ascend(x0, value_fn, grad_fn, cfg: OptimizerConfig, on_iterate=None):
-    x = project_to_simplex(np.asarray(x0, dtype=float))
-    fx = value_fn(x)
-    gnorm = math.inf
-    for _ in range(cfg.max_iters):
-        g = grad_fn(x)
-        gnorm = float(np.linalg.norm(g - g.mean()))
-        if gnorm <= TOL_GRAD:
-            break
-        t = STEP_SIZE
-        while t >= 1e-13:  # backtracking: halve the step until f increases
-            y = project_to_simplex(x + t * g)
-            fy = value_fn(y)
-            if fy > fx:
-                x, fx = y, fy
+def _ascents(target: str, k: int, cfg: OptimizerConfig, on_iterate=None):
+    """(x, f(x), projected gradient norm) at the end of the ascent from each of `_start_points`, in order."""
+    value_fn, grad_fn = _value_fn(target, k), _grad_fn(target, k)
+    for x0 in _start_points(k, cfg):
+        x = project_to_simplex(np.asarray(x0, dtype=float))
+        fx = value_fn(x)
+        gnorm = math.inf
+        for _ in range(cfg.max_iters):
+            g = grad_fn(x)
+            gnorm = float(np.linalg.norm(g - g.mean()))
+            if gnorm <= TOL_GRAD:
                 break
-            t *= 0.5
-        else:
-            break
-        if on_iterate is not None:
-            on_iterate(x)
-    return x, fx, gnorm
+            t = STEP_SIZE
+            while t >= 1e-13:  # backtracking: halve the step until f increases
+                y = project_to_simplex(x + t * g)
+                fy = value_fn(y)
+                if fy > fx:
+                    x, fx = y, fy
+                    break
+                t *= 0.5
+            else:
+                break
+            if on_iterate is not None:
+                on_iterate(x)
+        yield x, fx, gnorm
 
 
 def kkt_report(
@@ -272,17 +262,9 @@ def maximize(target: str, k: int, cfg: OptimizerConfig, on_iterate=None) -> Crit
     odd K, so its K - 1 rotations add nothing), and cfg.starts random starts."""
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
-    if k < 3 or k % 2 == 0:
-        raise ValueError("K must be odd and >= 3")
-    value_fn = _value_fn(target, k)
-    grad_fn = _grad_fn(target, k)
-    best = None
-    for x0 in _start_points(k, cfg):
-        x, fx, gnorm = _ascend(x0, value_fn, grad_fn, cfg, on_iterate)
-        # ties keep the first point found; values are checked, not argmaxes
-        if best is None or fx > best[1]:
-            best = (x, fx, gnorm)
-    x, fx, gnorm = best
+    check_odd_k(k)
+    # ties keep the first point found; values are checked, not argmaxes
+    x, fx, gnorm = max(_ascents(target, k, cfg, on_iterate), key=lambda ascent: ascent[1])
     interior = float(x.min()) > TOL_INTERIOR
     converged = gnorm <= TOL_GRAD or not interior
     return kkt_report(x, target, grad_norm=gnorm, converged=converged)
@@ -295,13 +277,11 @@ def interior_max_scan(k: int, cfg: OptimizerConfig) -> list[CriticalPointReport]
     """
     if k < 5 or k % 2 == 0:
         raise ValueError("interior scan needs odd K >= 5")
-    value_fn = _value_fn("f", k)
-    grad_fn = _grad_fn("f", k)
-    reports = []
-    for x0 in _start_points(k, cfg):
-        x, fx, gnorm = _ascend(x0, value_fn, grad_fn, cfg)
-        if float(x.min()) > TOL_INTERIOR and gnorm <= TOL_GRAD:
-            reports.append(kkt_report(x, "f", grad_norm=gnorm, converged=True))
+    reports = [
+        kkt_report(x, "f", grad_norm=gnorm, converged=True)
+        for x, _fx, gnorm in _ascents("f", k, cfg)
+        if float(x.min()) > TOL_INTERIOR and gnorm <= TOL_GRAD
+    ]
     reports.sort(key=lambda r: (-r.value, r.point))
     for report in reports:
         if report.value > ONE_27 + 1e-9:

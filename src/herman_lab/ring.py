@@ -11,11 +11,13 @@ on bit words.  The position and bit views go through them by way of the
 `positions_word`/`word_positions` codec, on Python ints of any size.
 The uint64-array paths (`step_occupancy` with `out`, `necklace_key` of an
 array, `bracelet_key`) import numpy only when they are handed arrays, so
-the Python-int paths and the parsers load no numpy.
+the Python-int paths, the parsers and the ring-size refusals of the
+simulator and the hitting-time solves load no numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -182,6 +184,32 @@ def check_simulator_ring(n: int) -> None:
     """Refuse a ring of more processes than the simulator's uint64 occupancy word holds."""
     if n > OCCUPANCY_BITS:
         raise ValueError(f"ring size {n} exceeds the {OCCUPANCY_BITS}-process occupancy word of the simulator")
+
+
+def _check_word(n: int) -> None:
+    if n > OCCUPANCY_BITS:
+        raise CapacityError(f"ring size {n} exceeds the {OCCUPANCY_BITS}-process occupancy word")
+
+
+def _state_count(n: int, most: int) -> int:
+    """len(markov.enumerate_states(n, most)) by Burnside's lemma: phi(d) rotations have n/d cycles of length d
+    and fix each word with m clear cycles, d m clear bits, which is odd and at most `most` for odd d and m."""
+    phi = [sum(math.gcd(i, d) == 1 for i in range(d)) for d in range(n + 1)]
+    odd = [(d, m) for d in range(1, n + 1, 2) if n % d == 0 for m in range(1, most // d + 1, 2)]
+    return sum(phi[d] * math.comb(n // d, m) for d, m in odd) // n
+
+
+def _check_capacity(n: int, most: int, max_ring: int | None, default: int) -> None:
+    """Refuse a solve over `markov.enumerate_states(n, most)` on a ring above the capacity or the occupancy word."""
+    if n < 3:
+        raise ValueError(f"ring size must be at least 3, got {n}")
+    _check_word(n)
+    limit = default if max_ring is None else max_ring
+    if n > limit:
+        raise CapacityError(
+            f"ring size {n} exceeds the configured capacity {limit} ({_state_count(n, most)} states); "
+            "raise the capacity explicitly to run larger instances"
+        )
 
 
 def step_occupancy(occ, moving, n: int, out=None):

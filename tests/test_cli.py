@@ -52,6 +52,23 @@ def test_exact_sweep_passes(capsys):
     }
 
 
+def test_exact_and_float_sweeps_write_the_same_rows(capsys):
+    code, exact, _ = run_cli(capsys, "exact", "--sweep", "9")
+    assert code == 0
+    code, floats, _ = run_cli(capsys, "exact", "--float", "--sweep", "9", "--exact-capacity-n", "8")
+    assert code == 0
+    exact, floats = exact.splitlines()[:-1], floats.splitlines()[:-1]  # the verdict lines differ by design
+    assert exact[0] == floats[0] == "N,K,gaps,expected_time,bound,pass"
+    assert len(exact) == len(floats) > 1
+    for row, float_row in zip(exact[1:], floats[1:]):
+        n, k, gaps, et, bound, passed = row.split(",")
+        float_n, float_k, float_gaps, float_et, float_bound, float_passed = float_row.split(",")
+        assert (n, k, gaps, passed) == (float_n, float_k, float_gaps, float_passed)
+        for rational, value in ((et, float_et), (bound, float_bound)):
+            num, den = map(int, rational.split("/"))
+            assert abs(float(value) - num / den) <= 1e-9
+
+
 def test_exact_sweep_twelve_hits_bound_exactly(capsys):
     code, out, _ = run_cli(capsys, "exact", "--sweep", "12")
     assert code == 0

@@ -50,7 +50,13 @@ its coins drawn straight from the stream keys and one absorption check
 per block: it is the paper's worst case, its 70 000 runs span one full
 batch of 65 536 and a short one of 4 464, and its slowest run takes
 5 097 steps, so it pins the step counts of long tails in about 0.5 s.
-An entry whose
+Two CSV records were recorded before `SimStats` and `CriticalPointReport`
+came to write their records as their dataclass fields
+(`dataclasses.asdict`), which hands `_print_record` tuples where it had
+lists: `simulate --config "N=9;gaps=3,3,3" --runs 20000 --seed 42
+--output-format csv` and `optimize --target f --k 7 --starts 20 --seed 1
+--output-format csv`, the first entries in CSV mode.  Each runs in under
+a second.  An entry whose
 first two arguments another entry shares names its test `id`.
 
 golden/demo_sha256.json holds the stdout sha256 of demos whose output

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_gaps
-from herman_lab import markov
+from herman_lab import markov, ring
 from herman_lab.lyapunov import V, f3, f5
 from herman_lab.markov import (
     BoundCheck,
@@ -22,7 +22,6 @@ from herman_lab.markov import (
     max_expected_time,
     moment_formula,
     successor_distribution,
-    sweep_rows,
     theorem1_bound,
     verify_drift_V,
     verify_drift_V3,
@@ -447,8 +446,8 @@ def test_state_count_is_the_length_of_the_enumeration():
     for n in range(3, 21):
         states = enumerate_states(n)
         for most in range(1, n + 1, 2):
-            assert markov._state_count(n, most) == sum(len(s) <= most for s in states), (n, most)
-    assert markov._state_count(64, 3) == len(enumerate_states(64, 3)) == 652
+            assert ring._state_count(n, most) == sum(len(s) <= most for s in states), (n, most)
+    assert ring._state_count(64, 3) == len(enumerate_states(64, 3)) == 652
 
 
 @pytest.mark.parametrize("n", [-3, 0, 1, 2])
@@ -632,12 +631,12 @@ def test_dyadic_system_ends_at_a_zero_residual(monkeypatch):
 
 
 def test_sweep_rows_schema():
-    rows = sweep_rows(6)
-    assert all(row.passed for row in rows)
-    assert all(row.n == 6 and sum(row.gaps) == 6 and row.bound == theorem1_bound(6) for row in rows)
-    line = markov.sweep_csv_line(rows[0])
-    assert line.startswith("6,1,")
-    assert line.count(",") == markov.SWEEP_CSV_HEADER.count(",")
+    assert markov.sweep_csv_line(6, (6,), "0/1", "16/3", True) == "6,1,6,0/1,16/3,1"
+    assert markov.sweep_csv_line(7, (1, 2, 4), "2.5", "7.25", False) == "7,3,1|2|4,2.5,7.25,0"
+    for gaps, et in markov.solve_all_exact(6).items():
+        line = markov.sweep_csv_line(6, gaps, str(et), "16/3", et <= theorem1_bound(6))
+        assert line.count(",") == markov.SWEEP_CSV_HEADER.count(",")
+        assert line.endswith(",1") and sum(map(int, line.split(",")[2].split("|"))) == 6
 
 
 def test_enumerate_states_counts_by_brute_force():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -158,7 +159,9 @@ def test_sim_stats_json():
     stats = SimStats(10, 1.5, 0.1, (1.3, 1.7), 1, 3, 42)
     record = stats.to_record()
     assert record["runs"] == 10 and record["seed"] == 42
-    assert record["ci95"] == [1.3, 1.7]
+    assert json.dumps(record) == (
+        '{"runs": 10, "mean": 1.5, "stderr": 0.1, "ci95": [1.3, 1.7], "min_steps": 1, "max_steps": 3, "seed": 42}'
+    )
 
 
 # --- coupling ------------------------------------------------------------------
