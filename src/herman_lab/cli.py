@@ -16,9 +16,9 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
-from .lyapunov import ALPHA, TARGETS, V, V3, V5, check_odd_k
+from .lyapunov import ALPHA, TARGETS, V, V3, V5
 from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, OCCUPANCY_BITS, CapacityError, GapVector, StepLimitError
-from .ring import _check_capacity, check_simulator_ring, parse_configuration, parse_gap_vector
+from .ring import _check_capacity, check_odd_k, check_simulator_ring, parse_configuration, parse_gap_vector
 from .streams import MASK64, CoinStream, stream_key
 
 OUTPUT_FORMATS = ("json", "csv")
@@ -54,8 +54,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = parse_configuration(args.config)
     if args.runs < 1:
         raise ValueError("--runs must be >= 1")
-    if config.token_count % 2 == 0:
-        raise ValueError("simulation requires an odd token count (odd K)")
+    check_odd_k(config.token_count, 1)
     check_simulator_ring(config.ring_size)
     from . import montecarlo
     try:
@@ -90,8 +89,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         raise ValueError("provide exactly one of --config or --sweep")
     if args.config is not None:
         g = parse_gap_vector(args.config)
-        if g.token_count % 2 == 0:
-            raise ValueError("expected time requires an odd token count (odd K)")
+        check_odd_k(g.token_count, 1)
         exact = _takes_exact(g.ring_size, g.token_count, args)
         from . import markov
         if exact:
@@ -269,7 +267,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.k > OCCUPANCY_BITS - 1:  # the cost grows as K^5, so refuse before any of it is spent
         raise ValueError(f"--k must be at most {OCCUPANCY_BITS - 1}, the most tokens (K odd) a ring of {OCCUPANCY_BITS} holds, got {args.k}")
     if args.opt_starts >= 1 and args.max_iters >= 1:  # else `OptimizerConfig` refuses those first
-        check_odd_k(args.k)
+        check_odd_k(args.k, 3)
     from . import optimize
     opt_cfg = optimize.OptimizerConfig(starts=args.opt_starts, seed=args.seed, max_iters=args.max_iters)
     report = optimize.maximize(args.target, args.k, opt_cfg)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .ring import GapVector
+from .ring import GapVector, check_odd_k
 
 ALPHA = 24  # coefficient of f5 in f; the protocol analysis needs exactly 24
 TARGETS = ("f3", "f5", "f")  # the polynomials below that `optimize` maximizes
@@ -53,21 +53,13 @@ def alternating_tuples(k: int, length: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def check_odd_k(k: int, minimum: int = 3) -> None:
-    """Refuse a token count that is even or below `minimum`."""
-    if k < minimum or k % 2 == 0:
-        raise ValueError(f"K must be odd and >= {minimum}")
-
-
 def _is_exact(x: Sequence) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in x)
 
 
 def check_simplex(x: Sequence) -> None:
     """Reject vectors off the standard simplex (no silent renormalizing)."""
-    k = len(x)
-    if k < 3 or k % 2 == 0:
-        raise ValueError("simplex points need odd dimension K >= 3")
+    check_odd_k(len(x), 3)
     if any(v < 0 for v in x):
         raise ValueError("simplex coordinates must be nonnegative")
     total = sum(x)
@@ -107,28 +99,22 @@ def scalar_rotation_product(x: Sequence, j: int):
     return sum(x[i] * x[(i + j) % k] for i in range(k))
 
 
-def _check_gap_vector(g: GapVector) -> None:
-    if g.token_count % 2 == 0:
-        raise ValueError("Lyapunov functions are defined for odd token counts")
-
-
 def V3(g: GapVector) -> Fraction:
     """4 N^2 f3(g/N); by homogeneity equals 4 f3(g)/N on integer gaps."""
-    _check_gap_vector(g)
+    check_odd_k(g.token_count, 1)
     n = g.ring_size
     return Fraction(4 * f3(g.gaps, check=False), n)
 
 
 def V5(g: GapVector) -> Fraction:
     """4 N^2 f5(g/N) = 4 f5(g)/N^3 on integer gaps."""
-    _check_gap_vector(g)
+    check_odd_k(g.token_count, 1)
     n = g.ring_size
     return Fraction(4 * f5(g.gaps, check=False), n**3)
 
 
 def V(g: GapVector, alpha=ALPHA) -> Fraction:
     """V3 - alpha V5; `verify --alpha` corrupts alpha to show the drift check fails."""
-    _check_gap_vector(g)
     return V3(g) - alpha * V5(g)
 
 
@@ -185,8 +171,7 @@ def derivative_terms(x: Sequence):
     (i3 odd, i4 even) of x_{i3} x_{i4} is the second-order coefficient.
     """
     K = len(x)
-    if K < 5:
-        raise ValueError("derivative terms need K >= 5")
+    check_odd_k(K, 5)
     p = _partial_at_zero(x)
     rotated = tuple(x[(i + 2) % K] for i in range(K))
     q = _partial_at_zero(rotated) - p

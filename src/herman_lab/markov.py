@@ -50,7 +50,7 @@ import numpy as np
 from .lyapunov import ALPHA, V, V3, V5, f3, f5
 from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, GapVector, _check_capacity, _check_word
 from .ring import CapacityError  # noqa: F401 -- what the solves raise, through `_check_capacity`
-from .ring import bracelet_key, least_rotation, necklace_key, step_occupancy
+from .ring import bracelet_key, check_odd_k, least_rotation, necklace_key, step_occupancy
 
 FLOAT_RESIDUAL_TOL = 1e-9
 TABLE_PASS_WORDS = 1 << 18  # words a pass of `_successor_keys` steps (one state if its 2^K is more)
@@ -296,15 +296,18 @@ def _state_keys(n: int, states: list[tuple[int, ...]]) -> np.ndarray:
     return np.concatenate([np.bitwise_or.reduce(tokens, axis=1) for tokens in groups]) ^ np.uint64((1 << n) - 1)
 
 
-def _mirror_classes(n: int, states: list[tuple[int, ...]]) -> np.ndarray:
-    """The column of each state's reflection class (it and its mirror image), numbered in order of first member."""
-    _keys, first, inverse = np.unique(bracelet_key(_state_keys(n, states), n), return_index=True, return_inverse=True)
+def _mirror_classes(n: int, keys: np.ndarray) -> np.ndarray:
+    """The column of each state's reflection class (it and its mirror image), numbered in order of first member.
+
+    `keys` are the states' `_state_keys`."""
+    _keys, first, inverse = np.unique(bracelet_key(keys, n), return_index=True, return_inverse=True)
     return np.argsort(np.argsort(first))[inverse]
 
 
-def _blocks(n: int, states: list[tuple[int, ...]], classes: np.ndarray) -> Iterator[tuple]:
+def _blocks(n: int, states: list[tuple[int, ...]], keys: np.ndarray, classes: np.ndarray) -> Iterator[tuple]:
     """Each token count's hitting-time system times 2^K, ascending in K >= 2: (K, first, matrix, exits).
 
+    `keys` are the states' `_state_keys`, computed once per solve, and
     `classes[i]` is state i's class, numbered in order of first member,
     which alone is stepped.  The list must be in (K, gaps) order and closed
     under successors (ValueError if not).  The rows are classes `first`,
@@ -315,7 +318,6 @@ def _blocks(n: int, states: list[tuple[int, ...]], classes: np.ndarray) -> Itera
     kept while the next token count is stepped.
     """
     size, width = len(states), int(classes.max()) + 1
-    keys = _state_keys(n, states)
     by_key = np.argsort(keys)
     representatives = list(map(states.__getitem__, np.unique(classes, return_index=True)[1].tolist()))
     first = sum(len(s) < 2 for s in representatives)  # the one-token class comes first and has no block
@@ -346,9 +348,10 @@ def _solve_states(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int, ...]
     With L the lcm of the denominators of the solved values a block refers
     to, the block times L is an integer system A (L E) = b.
     """
-    classes = _mirror_classes(n, states)
+    keys = _state_keys(n, states)
+    classes = _mirror_classes(n, keys)
     values = [Fraction(0) if len(states[i]) <= 1 else None for i in np.unique(classes, return_index=True)[1].tolist()]
-    for k, first, matrix, (rows, cols, counts) in _blocks(n, states, classes):
+    for k, first, matrix, (rows, cols, counts) in _blocks(n, states, keys, classes):
         referred = np.flatnonzero(np.bincount(cols)).tolist()
         lcm = math.lcm(*(values[j].denominator for j in referred))
         scaled = np.zeros(first, dtype=object)
@@ -370,15 +373,14 @@ def _solve_states(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int, ...]
 
 def expected_time_exact(g: GapVector, *, max_ring: int | None = None) -> Fraction:
     """Exact E[T] for a gap vector with an odd number of tokens."""
-    if g.token_count % 2 == 0:
-        raise ValueError("stabilization time requires an odd token count")
+    check_odd_k(g.token_count, 1)
     _check_capacity(g.ring_size, g.token_count, max_ring, EXACT_RING_LIMIT)
     return _solve_states(g.ring_size, enumerate_states(g.ring_size, g.token_count))[least_rotation(g.gaps)]
 
 
 def _solve_states_float(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int, ...], float]:
     values = np.zeros(len(states))
-    for k, first, a, (rows, cols, counts) in _blocks(n, states, np.arange(len(states))):
+    for k, first, a, (rows, cols, counts) in _blocks(n, states, _state_keys(n, states), np.arange(len(states))):
         denom = float(1 << k)
         a /= denom  # in place, and dyadic, so equal to I - C / 2^K bit for bit
         b = np.ones(len(a))
@@ -394,8 +396,7 @@ def _solve_states_float(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int
 
 def expected_time_float(g: GapVector, *, max_ring: int | None = None) -> float:
     """Floating-point E[T] with a residual check on every solved block."""
-    if g.token_count % 2 == 0:
-        raise ValueError("stabilization time requires an odd token count")
+    check_odd_k(g.token_count, 1)
     _check_capacity(g.ring_size, g.token_count, max_ring, FLOAT_RING_LIMIT)
     return _solve_states_float(g.ring_size, enumerate_states(g.ring_size, g.token_count))[least_rotation(g.gaps)]
 
@@ -475,15 +476,9 @@ def _drift_sums(n: int, gaps: tuple[int, ...]) -> tuple[int, int, int]:
     return sum_f3, sum_f5, int(np.sum(f5(raw.T, check=False)))
 
 
-def _require_odd(g: GapVector, minimum: int) -> None:
-    k = g.token_count
-    if k % 2 == 0 or k < minimum:
-        raise ValueError(f"drift identity requires an odd token count >= {minimum}")
-
-
 def verify_drift_V3(g: GapVector) -> DriftCheck:
     """E(V3(z')|z) = V3(z) - (K-1)/2, exactly."""
-    _require_odd(g, 3)
+    check_odd_k(g.token_count, 3)
     n, k = g.ring_size, g.token_count
     sum_f3, _, _ = _drift_sums(n, g.gaps)
     lhs = Fraction(4 * sum_f3, n * (1 << k))
@@ -493,7 +488,7 @@ def verify_drift_V3(g: GapVector) -> DriftCheck:
 
 def verify_drift_V5(g: GapVector) -> DriftCheck:
     """E(V5(z')|z) = V5(z) + (K-1)(K-3)/(32 N^2) - (K-3)/2 * f3(g/N), exactly."""
-    _require_odd(g, 5)
+    check_odd_k(g.token_count, 5)
     n, k = g.ring_size, g.token_count
     _, sum_f5, _ = _drift_sums(n, g.gaps)
     lhs = Fraction(4 * sum_f5, n**3 * (1 << k))
@@ -507,7 +502,7 @@ def verify_drift_V5(g: GapVector) -> DriftCheck:
 
 def verify_drift_V(g: GapVector, alpha=ALPHA) -> VDriftCheck:
     """E(V(z')|z) - V(z) <= -1, exactly in rationals."""
-    _require_odd(g, 3)
+    check_odd_k(g.token_count, 3)
     n, k = g.ring_size, g.token_count
     sum_f3, sum_f5, _ = _drift_sums(n, g.gaps)
     expectation = Fraction(4 * sum_f3, n * (1 << k)) - alpha * Fraction(4 * sum_f5, n**3 * (1 << k))
@@ -523,7 +518,7 @@ def verify_prop17(g: GapVector) -> Prop17Check:
     from independent formulations: raw rows g + delta of every mask, and the
     merged successors of the occupancy kernel (`_successor_counts`).
     """
-    _require_odd(g, 3)
+    check_odd_k(g.token_count, 3)
     n, k = g.ring_size, g.token_count
     _, sum_f5, sum_f5_raw = _drift_sums(n, g.gaps)
     denom = 1 << k

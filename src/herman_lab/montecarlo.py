@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ring import OCCUPANCY_BITS, Configuration, StepLimitError, check_simulator_ring, positions_word, step_occupancy, token_word, word_positions
+from .ring import Configuration, StepLimitError, check_bit_ring, check_odd_k, check_simulator_ring, positions_word, step_occupancy, token_word, word_positions
 from .streams import GOLDEN, MASK64, SCRAMBLE_MULTIPLIERS, SCRAMBLE_SHIFTS, CoinStream
 
 DEFAULT_STEP_CAP_FACTOR = 100  # cap = factor * N^2; a breach is a bug, not a sample
@@ -63,8 +63,7 @@ def _default_cap(n: int, step_cap: int | None) -> int:
 
 def simulate_once(config: Configuration, stream: CoinStream, *, step_cap: int | None = None) -> int:
     """Steps until one token remains, driving the occupancy mask with `stream`."""
-    if config.token_count % 2 == 0:
-        raise ValueError("simulation requires an odd token count")
+    check_odd_k(config.token_count, 1)
     n = config.ring_size
     cap = _default_cap(n, step_cap)
     occ = positions_word(config.positions)
@@ -172,8 +171,7 @@ def _run_batch(occ0: int, n: int, master_seed: int, lo: int, hi: int, cap: int) 
 
 def run_steps(config: Configuration, runs: int, master_seed: int, *, step_cap: int | None = None) -> np.ndarray:
     """Per-run stabilization steps for runs 0..runs-1, stepped BATCH_RUNS at a time."""
-    if config.token_count % 2 == 0:
-        raise ValueError("simulation requires an odd token count")
+    check_odd_k(config.token_count, 1)
     if runs < 1:
         raise ValueError("runs must be >= 1")
     n = config.ring_size
@@ -241,10 +239,8 @@ def coupled_equivalence(n: int, runs: int, master_seed: int) -> CouplingResult:
     token word and moves the same tokens with `step_occupancy`.  After
     every step the token word of the bits must equal the occupancy word.
     """
-    if n % 2 == 0:
-        raise ValueError("the bit representation needs an odd ring size")
-    if not 3 <= n <= OCCUPANCY_BITS:
-        raise ValueError(f"the coupling needs 3 <= N <= {OCCUPANCY_BITS}, got {n}")
+    check_bit_ring(n)
+    check_simulator_ring(n)
     cap = _default_cap(n, None)
     for run in range(runs):
         stream = CoinStream.from_seed(master_seed, run)
@@ -266,10 +262,7 @@ def coupled_equivalence(n: int, runs: int, master_seed: int) -> CouplingResult:
 
 def exhaustive_coupling(n: int) -> CouplingResult:
     """One step of Herman's bit flips against `step_occupancy` on all 4^n bit and coin words."""
-    if n % 2 == 0:
-        raise ValueError("the bit representation needs an odd ring size")
-    if n < 3:
-        raise ValueError("bit ring needs at least 3 processes")
+    check_bit_ring(n)
     for bits in range(1 << n):
         tokens = token_word(bits, n)
         for coins in range(1 << n):

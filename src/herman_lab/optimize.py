@@ -20,7 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import lyapunov
-from .lyapunov import ALPHA, TARGETS, alternating_tuples, check_odd_k
+from .lyapunov import ALPHA, TARGETS, alternating_tuples
+from .ring import check_odd_k
 
 ONE_27 = 1.0 / 27.0
 STEP_SIZE = 0.5  # first trial step of each backtracking line search
@@ -262,7 +263,7 @@ def maximize(target: str, k: int, cfg: OptimizerConfig, on_iterate=None) -> Crit
     odd K, so its K - 1 rotations add nothing), and cfg.starts random starts."""
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
-    check_odd_k(k)
+    check_odd_k(k, 3)
     # ties keep the first point found; values are checked, not argmaxes
     x, fx, gnorm = max(_ascents(target, k, cfg, on_iterate), key=lambda ascent: ascent[1])
     interior = float(x.min()) > TOL_INTERIOR
@@ -275,8 +276,7 @@ def interior_max_scan(k: int, cfg: OptimizerConfig) -> list[CriticalPointReport]
 
     Raises if any such point has f above 1/27 + 1e-9; none can exist.
     """
-    if k < 5 or k % 2 == 0:
-        raise ValueError("interior scan needs odd K >= 5")
+    check_odd_k(k, 5)
     reports = [
         kkt_report(x, "f", grad_norm=gnorm, converged=True)
         for x, _fx, gnorm in _ascents("f", k, cfg)
@@ -326,8 +326,7 @@ def alpha_threshold(k: int) -> Fraction:
     Feeds the extremal bound values (f = 1/27 and alpha f5 = 1/216) through
     the chain; equals 216(K-1)/(23K-71).
     """
-    if k < 5 or k % 2 == 0:
-        raise ValueError("threshold is defined for odd K >= 5")
+    check_odd_k(k, 5)
     denom = Fraction(3 * k - 9, 2) * Fraction(1, 27) - Fraction(k - 1, 2) * Fraction(1, 216)
     return Fraction(k - 1, 2) / denom
 
@@ -343,8 +342,7 @@ def gradient_fd_validation(k: int, samples: int, *, seed: int = 0) -> float:
     quintic polynomials, so only rounding error remains.  Errors are measured relative to
     max(1, |analytic value|).
     """
-    if k < 5 or k % 2 == 0:
-        raise ValueError("derivative validation needs odd K >= 5")
+    check_odd_k(k, 5)
     rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
     d = np.zeros(k)
     d[0], d[2] = -1.0, 1.0

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .lyapunov import ALPHA, alternating_tuples, check_odd_k
+from .lyapunov import ALPHA, alternating_tuples
+from .ring import check_odd_k
 
 Monomial = tuple[int, ...]
 
@@ -172,17 +173,16 @@ def build_alternating(k: int, length: int) -> SparsePolynomial:
 
 
 def build_f3(k: int) -> SparsePolynomial:
-    check_odd_k(k)
+    check_odd_k(k, 3)
     return build_alternating(k, 3)
 
 
 def build_f5(k: int) -> SparsePolynomial:
-    check_odd_k(k)
+    check_odd_k(k, 3)
     return build_alternating(k, 5)
 
 
 def build_f(k: int) -> SparsePolynomial:
-    check_odd_k(k)
     return build_f3(k) - ALPHA * build_f5(k)
 
 
@@ -230,7 +230,7 @@ def _compare(identity: str, k: int, lhs: SparsePolynomial, rhs: SparsePolynomial
 def check_continuity(k: int) -> IdentityCheck:
     """Setting x_1 = 0 and merging x_0 + x_2 reduces the K-variable polynomial
     to the (K-2)-variable one; verified separately for f3 and f5 (f follows)."""
-    check_odd_k(k, minimum=5)
+    check_odd_k(k, 5)
     for name, build in (("f3", build_f3), ("f5", build_f5), ("f", build_f)):
         big = build(k)
         small = build(k - 2)
@@ -258,7 +258,7 @@ def _even_start_triples(k: int) -> SparsePolynomial:
 
 def check_rotation_sum_identity(k: int) -> IdentityCheck:
     """Rotations of the even/odd/even triple sum collapse to (K-3)/2 f3."""
-    check_odd_k(k, minimum=5)
+    check_odd_k(k, 5)
     lhs = sum_rotations(_even_start_triples(k))
     rhs = Fraction(k - 3, 2) * build_f3(k)
     return _compare("rotation_sum", k, lhs, rhs)
@@ -271,7 +271,7 @@ def check_fancy_sum(k: int, l: int) -> IdentityCheck:
     sums all K rotations; the right side is ((l-1)K/2 - l) times the full
     alternating l-fold product sum.
     """
-    check_odd_k(k, minimum=5)
+    check_odd_k(k, 5)
     if l % 2 == 0:
         raise ValueError("l must be odd")
     if not 3 <= l <= k:
@@ -285,7 +285,7 @@ def check_fancy_sum(k: int, l: int) -> IdentityCheck:
 
 def check_corollary_sums(k: int) -> IdentityCheck:
     """Both corollary instantiations: the fancy sum at l=3 is (K-3) f3, at l=5 (2K-5) f5."""
-    check_odd_k(k, minimum=5)
+    check_odd_k(k, 5)
     for l in (3, 5):
         sub = check_fancy_sum(k, l)
         if not sub:
@@ -302,7 +302,7 @@ def check_c_rotation_sum(k: int) -> IdentityCheck:
     (K-3)/2 * f3.  On the simplex these combine to
     K c = (K-1)/2 - (K-3)/2 * alpha * f3.
     """
-    check_odd_k(k, minimum=5)
+    check_odd_k(k, 5)
     linear = SparsePolynomial(k, {(i2,): 1 for i2 in range(2, k, 2)})
     cubic = _even_start_triples(k)
     all_vars = SparsePolynomial(k, {(i,): 1 for i in range(k)})

@@ -11,8 +11,14 @@ on bit words.  The position and bit views go through them by way of the
 `positions_word`/`word_positions` codec, on Python ints of any size.
 The uint64-array paths (`step_occupancy` with `out`, `necklace_key` of an
 array, `bracelet_key`) import numpy only when they are handed arrays, so
-the Python-int paths, the parsers and the ring-size refusals of the
-simulator and the hitting-time solves load no numpy.
+the Python-int paths and the parsers load no numpy.
+
+It is the home of every refusal of input outside the theorem's envelope,
+each rule one numpy-free check that every layer and the CLI call first:
+an odd token count K with a minimum (`check_odd_k`), a bit ring of odd
+N >= 3 (`check_bit_ring`), a simulator ring of at most 64 processes
+(`check_simulator_ring`), and the ring size and state count of a
+hitting-time solve (`_check_capacity`).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .streams import CoinStream
 OCCUPANCY_BITS = 64  # occupancy masks are stepped as uint64 words
 EXACT_RING_LIMIT = 14  # default capacities of the exact and float hitting-time solves
 FLOAT_RING_LIMIT = 20
+STATE_LIMIT = 1 << 20  # states one solve may enumerate, whatever its capacity; see `_check_capacity`
 
 # A move mask is one boolean per token, in position-sorted token order.
 MoveMask = Sequence[bool]
@@ -180,6 +187,18 @@ def _rotl(mask, n: int):
     return ((mask << 1) | (mask >> (n - 1))) & ((1 << n) - 1)
 
 
+def check_odd_k(k: int, minimum: int) -> None:
+    """Refuse a token count that is even or below `minimum`: the theorem and the protocol hold an odd K."""
+    if k < minimum or k % 2 == 0:
+        raise ValueError(f"K must be odd and >= {minimum}, got {k}")
+
+
+def check_bit_ring(n: int) -> None:
+    """Refuse a bit ring that is even or below 3 processes: only an odd ring forces an odd token count."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"a bit ring needs an odd N >= 3, got {n}")
+
+
 def check_simulator_ring(n: int) -> None:
     """Refuse a ring of more processes than the simulator's uint64 occupancy word holds."""
     if n > OCCUPANCY_BITS:
@@ -200,16 +219,20 @@ def _state_count(n: int, most: int) -> int:
 
 
 def _check_capacity(n: int, most: int, max_ring: int | None, default: int) -> None:
-    """Refuse a solve over `markov.enumerate_states(n, most)` on a ring above the capacity or the occupancy word."""
+    """Refuse a solve over `markov.enumerate_states(n, most)` on a ring above the capacity or the occupancy word,
+    or of more than STATE_LIMIT states, which no raised capacity lifts."""
     if n < 3:
         raise ValueError(f"ring size must be at least 3, got {n}")
     _check_word(n)
     limit = default if max_ring is None else max_ring
+    count = _state_count(n, most)
     if n > limit:
         raise CapacityError(
-            f"ring size {n} exceeds the configured capacity {limit} ({_state_count(n, most)} states); "
+            f"ring size {n} exceeds the configured capacity {limit} ({count} states); "
             "raise the capacity explicitly to run larger instances"
         )
+    if count > STATE_LIMIT:
+        raise CapacityError(f"ring size {n} has {count} states with at most {most} tokens, above the {STATE_LIMIT}-state limit of a solve")
 
 
 def step_occupancy(occ, moving, n: int, out=None):
@@ -249,16 +272,24 @@ def token_word(bits: int, n: int) -> int:
 
 
 def necklace_key(mask, n: int):
-    """Least of the n cyclic rotations of an n-bit mask (a Python int or a uint64 array): one key per necklace."""
-    least = min
-    if not isinstance(mask, int):
-        import numpy as np
+    """Least of the n cyclic rotations of an n-bit mask (a Python int or a uint64 array): one key per necklace.
 
-        least = np.minimum
-    key = mask
+    An array is rotated in place in one scratch copy, with a boolean array
+    for its top bit, so two arrays of its size are held besides the input.
+    """
+    if isinstance(mask, int):
+        return min((mask << r | mask >> (n - r)) & ((1 << n) - 1) for r in range(n))
+    import numpy as np
+
+    key, mask = mask.copy(), mask.copy()
+    top = np.empty(mask.shape, dtype=bool)
     for _ in range(n - 1):
-        mask = _rotl(mask, n)
-        key = least(key, mask)
+        np.greater_equal(mask, 1 << (n - 1), out=top)
+        np.left_shift(mask, 1, out=mask)
+        if n < OCCUPANCY_BITS:
+            np.bitwise_and(mask, (1 << n) - 1, out=mask)
+        np.bitwise_or(mask, top, out=mask)
+        np.minimum(key, mask, out=key)
     return key
 
 
@@ -294,10 +325,8 @@ def bits_from_config(config: Configuration) -> BitRing:
     and the returned ring is one of the two complementary encodings.
     """
     n = config.ring_size
-    if n % 2 == 0:
-        raise ValueError("bit representation requires an odd number of processes")
-    if config.token_count % 2 == 0:
-        raise ValueError("odd process count forces an odd token count")
+    check_bit_ring(n)
+    check_odd_k(config.token_count, 1)
     tokens = set(config.positions)
     bits = [False]  # process p's bit differs from process p-1's unless p holds a token
     for p in range(2, n + 1):

@@ -91,6 +91,7 @@ def test_import_cli_loads_no_numpy():
         pytest.param(2, ("exact", "--config", "N=8;gaps=4,4"), id="exact-even-k"),
         pytest.param(2, ("exact", "--sweep", "7", "--seed", "1"), id="exact-unread-flag"),
         pytest.param(2, ("exact", "--sweep", "30"), id="exact-sweep-capacity"),
+        pytest.param(2, ("exact", "--float", "--sweep", "30", "--float-capacity-n", "40"), id="exact-sweep-state-limit"),
         pytest.param(2, ("exact", "--config", "N=99;gaps=33,33,33"), id="exact-ring-size"),
         pytest.param(2, ("optimize", "--target", "f", "--k", "65"), id="optimize-k-cap"),
         pytest.param(2, ("optimize", "--target", "f", "--k", "4"), id="optimize-even-k"),

@@ -201,7 +201,7 @@ def block_rows(n, states, classes):
     the exits run row by row, by column within a row.
     """
     rows = []
-    for k, first, matrix, exits in markov._blocks(n, states, classes):
+    for k, first, matrix, exits in markov._blocks(n, states, markov._state_keys(n, states), classes):
         assert matrix.dtype == np.float64 and all(part.dtype == np.int32 for part in exits)
         triples = list(zip(*(part.tolist() for part in exits)))
         assert triples == sorted(triples)
@@ -238,16 +238,17 @@ def test_block_rows_match_successor_counts_on_every_state():
 def test_lumped_block_rows_are_class_summed_successor_counts():
     for n in range(3, 15):
         states = enumerate_states(n)
-        classes = markov._mirror_classes(n, states)
+        classes = markov._mirror_classes(n, markov._state_keys(n, states))
         assert block_rows(n, states, classes) == class_summed_rows(n, states, classes), n
 
 
 def test_blocks_are_the_same_when_a_token_count_spans_passes(monkeypatch):
     states = enumerate_states(13)
-    for classes in (np.arange(len(states)), markov._mirror_classes(13, states)):
-        whole = list(markov._blocks(13, states, classes))
+    keys = markov._state_keys(13, states)
+    for classes in (np.arange(len(states)), markov._mirror_classes(13, keys)):
+        whole = list(markov._blocks(13, states, keys, classes))
         monkeypatch.setattr(markov, "TABLE_PASS_WORDS", 1 << 7)  # 4 states of K = 5 per pass, 1 of K = 7 up
-        split = list(markov._blocks(13, states, classes))
+        split = list(markov._blocks(13, states, keys, classes))
         assert block_rows(13, states, classes) == class_summed_rows(13, states, classes)
         monkeypatch.undo()
         assert [(k, first) for k, first, _m, _e in whole] == [(k, first) for k, first, _m, _e in split]
@@ -268,7 +269,7 @@ def test_blocks_reject_a_list_not_closed_under_successors():
         states = enumerate_states(9)
         states.remove(missing)
         with pytest.raises(ValueError, match="not closed"):
-            list(markov._blocks(9, states, np.arange(len(states))))
+            list(markov._blocks(9, states, markov._state_keys(9, states), np.arange(len(states))))
 
 
 @pytest.mark.parametrize("solve", [markov.solve_all_exact, markov.solve_all_float])
@@ -319,12 +320,12 @@ def test_mirror_classes_pair_each_state_with_its_mirror_in_first_member_order():
     for n in range(3, 15):
         states = enumerate_states(n)
         index = {s: i for i, s in enumerate(states)}
-        classes = markov._mirror_classes(n, states).tolist()
+        classes = markov._mirror_classes(n, markov._state_keys(n, states)).tolist()
         assert classes == [classes[index[mirror(s)]] for s in states]
         assert len(set(classes)) == len({min(s, mirror(s)) for s in states})
         firsts = [c for i, c in enumerate(classes) if c not in classes[:i]]
         assert firsts == list(range(len(firsts)))
-    assert len(set(markov._mirror_classes(13, enumerate_states(13)).tolist())) == 190
+    assert len(set(markov._mirror_classes(13, markov._state_keys(13, enumerate_states(13))).tolist())) == 190
 
 
 def _gauss_fraction(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

@@ -32,13 +32,6 @@ def test_single_token_takes_zero_steps():
     assert run_steps(Configuration(5, (2,)), 10, 0).tolist() == [0] * 10
 
 
-def test_simulate_rejects_even_k():
-    with pytest.raises(ValueError):
-        simulate_once(Configuration(5, (1, 3)), CoinStream.from_seed(0, 0))
-    with pytest.raises(ValueError):
-        run_steps(Configuration(5, (1, 3)), 10, 0)
-
-
 @pytest.mark.parametrize(
     "n,gaps,runs",
     [
@@ -177,19 +170,6 @@ def test_coupled_trajectories(n):
     result = coupled_equivalence(n, 500, 31)
     assert result.passed
     assert result.failure is None
-
-
-def test_coupling_rejects_even_ring():
-    with pytest.raises(ValueError):
-        coupled_equivalence(4, 10, 0)
-    with pytest.raises(ValueError):
-        exhaustive_coupling(4)
-    with pytest.raises(ValueError, match="at least 3 processes"):
-        exhaustive_coupling(1)
-    # odd, but no bit ring (n = 1) or more processes than an occupancy word (n = 65)
-    for n in (1, 65):
-        with pytest.raises(ValueError):
-            coupled_equivalence(n, 10, 0)
 
 
 def _clockwise_tokens(bits, n):

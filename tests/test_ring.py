@@ -1,15 +1,20 @@
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
 from conftest import random_gaps, reference_apply_step, reference_bit_step, reference_token_positions
+from herman_lab import cli, lyapunov, markov, montecarlo, optimize, polynomials
 from herman_lab.ring import (
+    STATE_LIMIT,
     BitRing,
+    CapacityError,
     Configuration,
     GapVector,
     apply_step,
     bit_step,
+    _check_capacity,
     bracelet_key,
     bits_from_config,
     canonical_rotation,
@@ -178,11 +183,6 @@ def test_bits_complement_degeneracy():
     bits = bits_from_config(c)
     flipped = BitRing(tuple(not b for b in bits.bits))
     assert config_from_bits(flipped) == c
-
-
-def test_bits_from_config_rejects_even_ring():
-    with pytest.raises(ValueError):
-        bits_from_config(Configuration(4, (1, 2, 3)))
 
 
 def test_bit_ring_needs_a_token():
@@ -394,3 +394,90 @@ def test_bracelet_key_is_least_rotation_of_mask_or_mirror(rng):
             mirror = int(format(mask, f"0{n}b")[::-1], 2)
             words = [w << r & ring | w >> (n - r) for w in (mask, mirror) for r in range(n)]
             assert key == min(words)
+
+
+@pytest.mark.parametrize("n", range(3, 65))
+def test_necklace_key_of_an_array_is_the_key_of_each_word(n, rng):
+    words = [rng.getrandbits(n) for _ in range(200)]
+    keys = necklace_key(np.array(words, dtype=np.uint64), n)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [necklace_key(w, n) for w in words]
+
+
+# --- the envelope ------------------------------------------------------------------
+
+def odd_k(minimum, k):
+    return f"K must be odd and >= {minimum}, got {k}"
+
+
+def bit_ring_size(n):
+    return f"a bit ring needs an odd N >= 3, got {n}"
+
+
+SIMULATOR_65 = "ring size 65 exceeds the 64-process occupancy word of the simulator"
+EVEN = Configuration(5, (1, 3))
+SCAN = optimize.OptimizerConfig(starts=1, max_iters=1)
+
+# every entry point of each rule, each kind of bad input, and the one message of its `ring` check
+LIBRARY_REFUSALS = [
+    (lambda: montecarlo.simulate_once(EVEN, CoinStream.from_seed(0, 0)), odd_k(1, 2)),
+    (lambda: montecarlo.run_steps(EVEN, 10, 0), odd_k(1, 2)),
+    (lambda: montecarlo.run_steps(Configuration(65, (1, 2, 3)), 10, 0), SIMULATOR_65),
+    (lambda: markov.expected_time_exact(GapVector(6, (3, 3))), odd_k(1, 2)),
+    (lambda: markov.expected_time_exact(GapVector(6, ())), odd_k(1, 0)),
+    (lambda: markov.expected_time_float(GapVector(6, (3, 3))), odd_k(1, 2)),
+    (lambda: markov.verify_drift_V3(GapVector(5, (5,))), odd_k(3, 1)),
+    (lambda: markov.verify_drift_V5(GapVector(5, (1, 1, 3))), odd_k(5, 3)),
+    (lambda: markov.verify_drift_V(GapVector(6, (3, 3))), odd_k(3, 2)),
+    (lambda: markov.verify_prop17(GapVector(6, (1, 1, 1, 3))), odd_k(3, 4)),
+    (lambda: lyapunov.check_simplex((Fraction(1, 2), Fraction(1, 2))), odd_k(3, 2)),
+    (lambda: lyapunov.check_simplex((Fraction(1),)), odd_k(3, 1)),
+    (lambda: lyapunov.V3(GapVector(6, (3, 3))), odd_k(1, 2)),
+    (lambda: lyapunov.V(GapVector(6, ())), odd_k(1, 0)),
+    (lambda: lyapunov.derivative_terms((Fraction(1, 6),) * 6), odd_k(5, 6)),
+    (lambda: bits_from_config(EVEN), odd_k(1, 2)),
+    (lambda: bits_from_config(Configuration(4, (1, 2, 3))), bit_ring_size(4)),
+    (lambda: optimize.maximize("f", 4, SCAN), odd_k(3, 4)),
+    (lambda: optimize.interior_max_scan(3, SCAN), odd_k(5, 3)),
+    (lambda: optimize.alpha_threshold(6), odd_k(5, 6)),
+    (lambda: optimize.alpha_threshold(3), odd_k(5, 3)),
+    (lambda: optimize.gradient_fd_validation(3, 10), odd_k(5, 3)),
+    (lambda: polynomials.build_f3(4), odd_k(3, 4)),
+    (lambda: polynomials.build_f(1), odd_k(3, 1)),
+    (lambda: polynomials.check_continuity(3), odd_k(5, 3)),
+    (lambda: montecarlo.coupled_equivalence(4, 10, 0), bit_ring_size(4)),
+    (lambda: montecarlo.coupled_equivalence(1, 10, 0), bit_ring_size(1)),
+    (lambda: montecarlo.coupled_equivalence(65, 10, 0), SIMULATOR_65),
+    (lambda: montecarlo.exhaustive_coupling(4), bit_ring_size(4)),
+    (lambda: montecarlo.exhaustive_coupling(1), bit_ring_size(1)),
+]
+
+CLI_REFUSALS = [
+    (("simulate", "--config", "N=8;gaps=4,4"), odd_k(1, 2)),
+    (("simulate", "--config", "N=65;gaps=21,21,23", "--runs", "10"), SIMULATOR_65),
+    (("exact", "--config", "N=8;gaps=4,4"), odd_k(1, 2)),
+    (("optimize", "--target", "f", "--k", "4"), odd_k(3, 4)),
+    (("optimize", "--target", "f3", "--k", "1"), odd_k(3, 1)),
+]
+
+
+@pytest.mark.parametrize("call, message", LIBRARY_REFUSALS)
+def test_every_entry_point_refuses_outside_the_envelope_with_its_rules_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("argv, message", CLI_REFUSALS)
+def test_every_command_refuses_outside_the_envelope_with_one_error_line(argv, message, capsys):
+    assert cli.main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+def test_the_state_limit_admits_the_largest_lists_reported_and_refuses_past_them():
+    for n, most in ((24, 24), (25, 25), (40, 7), (64, 5)):
+        _check_capacity(n, most, n, 0)  # 349 536, 671 092, 482 788 and 119 785 states
+    for n, most in ((26, 26), (30, 30), (64, 7)):
+        with pytest.raises(CapacityError, match=f"above the {STATE_LIMIT}-state limit"):
+            _check_capacity(n, most, 64, 0)
