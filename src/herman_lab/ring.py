@@ -52,6 +52,9 @@ class StepLimitError(RuntimeError):
         where = f" in run {run_index}" if run_index is not None else ""
         super().__init__(f"simulation exceeded the {cap}-step cap{where}")
 
+    def __reduce__(self):  # pickled by its fields, not its message, so a worker can send it back
+        return type(self), (self.cap, self.run_index)
+
 
 @dataclass(frozen=True, slots=True)
 class Configuration:

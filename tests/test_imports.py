@@ -60,7 +60,8 @@ def _cli_modules(code: int, *argv: str) -> set[str]:
         ),
         pytest.param(
             ("simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10"),
-            ("numpy.ma", "herman_lab.markov", "herman_lab.optimize", "herman_lab.polynomials"),
+            # the runs are split over raw forks, not a process or thread pool
+            ("numpy.ma", "herman_lab.markov", "herman_lab.optimize", "herman_lab.polynomials", "multiprocessing", "concurrent.futures"),
             id="simulate",
         ),
     ],

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -25,6 +27,17 @@ from herman_lab.streams import CoinStream
 
 def state(n, gaps):
     return config_from_gaps(GapVector(n, gaps))
+
+
+def force_split(monkeypatch):
+    """Split every `run_steps` call over three processes, whatever the CPUs and the work."""
+    monkeypatch.setattr(mc, "SPLIT_MIN_STEPS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_single_token_takes_zero_steps():
@@ -60,6 +73,13 @@ def test_scalar_and_vectorized_runs_agree(n, gaps, runs, monkeypatch):
         assert run_steps(config, runs, 42).tolist() == scalar
     # three batches, the last one short: batching changes no step count
     monkeypatch.setattr(mc, "BATCH_RUNS", runs // 3 + 1)
+    assert run_steps(config, runs, 42).tolist() == scalar
+    # three ranges, two of them stepped in forked children: the split changes no step
+    # count.  Fresh arrays are filled, so that the step counts cannot come from the
+    # memory of an earlier call rather than from the children
+    force_split(monkeypatch)
+    full = np.full
+    monkeypatch.setattr(np, "empty", lambda shape, dtype=None: full(shape, 12345, dtype))
     assert run_steps(config, runs, 42).tolist() == scalar
 
 
@@ -112,13 +132,19 @@ def _breaches_cap(config, seed, run, cap):
     return False
 
 
+@pytest.mark.parametrize("split", (False, True), ids=("serial", "split"))
 @pytest.mark.parametrize("cap", (0, 4, 7, 42, 43))
-def test_step_cap_breach_is_an_error(cap):
+def test_step_cap_breach_is_an_error(cap, split, monkeypatch):
     # at seed 1, run 0 takes 4 steps: with cap 4 its retired zero word leads
     # the array, and cap 7 ends the block from step 4 to 8 early.  The longest
     # run, run 65, takes 43 steps: cap 42 ends the block from step 32 to 64
     # early, after two compactions, and with cap 43 the run absorbs on the last
-    # step the cap allows, which is no breach, as in simulate_once
+    # step the cap allows, which is no breach, as in simulate_once.  Split in
+    # three, runs 0-32 stay in this process and 33-65 and 66-99 go to children:
+    # cap 42 breaches only in a child's range, and a low cap in every range,
+    # where the lowest range's error wins
+    if split:
+        force_split(monkeypatch)
     config = state(9, (3, 3, 3))
     first = next((i for i in range(100) if _breaches_cap(config, 1, i, cap)), None)
     if first is None:
@@ -130,6 +156,62 @@ def test_step_cap_breach_is_an_error(cap):
         run_steps(config, 100, 1, step_cap=cap)
     assert info.value.run_index == first
     assert info.value.cap == cap
+
+
+def test_no_worker_outlives_run_steps(monkeypatch):
+    force_split(monkeypatch)
+    config = state(9, (3, 3, 3))
+    run_steps(config, 100, 1)
+    assert_no_children()
+    with pytest.raises(StepLimitError):
+        run_steps(config, 100, 1, step_cap=42)
+    assert_no_children()
+    # interrupted while this process steps its own range, before any child is read
+    parent, run_batch = os.getpid(), mc._run_batch
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return run_batch(*args)
+
+    monkeypatch.setattr(mc, "_run_batch", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_steps(config, 100, 1)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("died", (True, False), ids=("died", "raised"))
+def test_a_failed_worker_fails_run_steps(died, monkeypatch):
+    # a child that dies without a result fails the call here, and one that raises
+    # raises its own exception here, as `cli` needs of a MemoryError; both children
+    # fail, and the lower range, runs 33-65, is the one reported
+    force_split(monkeypatch)
+    parent, run_batch = os.getpid(), mc._run_batch
+
+    def failing(*args):
+        if os.getpid() != parent:
+            if died:
+                os._exit(3)
+            raise MemoryError(f"unable to allocate the coin words of runs {args[3]}..{args[4] - 1}")
+        return run_batch(*args)
+
+    monkeypatch.setattr(mc, "_run_batch", failing)
+    signal.alarm(60)  # a wait for a dead child's result ends the test run rather than hanging it
+    try:
+        with pytest.raises(RuntimeError if died else MemoryError, match="runs 33..65"):
+            run_steps(state(9, (3, 3, 3)), 100, 1)
+    finally:
+        signal.alarm(0)
+    assert_no_children()
+
+
+def test_split_needs_the_work_bound_to_pay_for_a_fork(monkeypatch):
+    # N = 9 has the bound ceil(4 * 81 / 27) = 12 steps a run, so each of two ranges needs 349 526 runs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert mc._workers(699_051, 9) == 1
+    assert mc._workers(699_052, 9) == 2
+    assert mc._workers(10**9, 9) == 3
+    assert mc._workers(50_000, 63) == 3
 
 
 def test_max_steps_below_default_cap():

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -12,6 +13,7 @@ from herman_lab.ring import (
     CapacityError,
     Configuration,
     GapVector,
+    StepLimitError,
     apply_step,
     bit_step,
     _check_capacity,
@@ -63,6 +65,15 @@ def test_config_round_trip_through_gaps(rng):
         back = config_from_gaps(g)
         # same gap vector up to rotation
         assert canonical_rotation(gap_vector(back)) == canonical_rotation(g)
+
+
+@pytest.mark.parametrize("run_index", (3, None))
+def test_step_limit_error_pickles_by_its_fields(run_index):
+    # a forked simulation worker sends a cap breach back pickled
+    error = pickle.loads(pickle.dumps(StepLimitError(5, run_index)))
+    assert (type(error), error.cap, error.run_index) == (StepLimitError, 5, run_index)
+    assert str(error) == str(StepLimitError(5, run_index))
+    assert str(error) == "simulation exceeded the 5-step cap" + (" in run 3" if run_index else "")
 
 
 def test_configuration_validation():
