@@ -3,9 +3,11 @@
 States are canonical (lexicographically minimal rotation) gap vectors.
 One synchronous step draws one of the 2^K move masks uniformly.  The
 successors of a state come from the occupancy kernel in `ring`: all 2^K
-masks are stepped at once as N-bit occupancy words (`step_occupancy`),
-keyed by necklace (least rotation) and mapped back to canonical gaps, so
-N is limited to the 64-bit word.  The drift identities read the same
+masks are stepped at once as N-bit occupancy words (`step_occupancy`), so
+N is limited to the 64-bit word.  A solve reads each word's class column
+from a table over all 2^N words up to WORD_TABLE_BITS (`_columns`), and
+`successor_distribution` keys the words by necklace (least rotation) and
+maps them back to canonical gaps.  The drift identities read the same
 successors; their unmerged K-vectors are g plus each mask's +-1/0 gap
 increments, with no step taken.  Expected stabilization times are solved
 exactly over every state with at most the queried token count, which is
@@ -42,7 +44,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, repeat
+from itertools import groupby
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -50,10 +52,11 @@ import numpy as np
 from .lyapunov import ALPHA, V, V3, V5, f3, f5
 from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, GapVector, _check_capacity, _check_word
 from .ring import CapacityError  # noqa: F401 -- what the solves raise, through `_check_capacity`
-from .ring import bracelet_key, check_odd_k, least_rotation, necklace_key, step_occupancy
+from .ring import _rotl, bracelet_key, check_odd_k, least_rotation, necklace_key, step_occupancy
 
 FLOAT_RESIDUAL_TOL = 1e-9
-TABLE_PASS_WORDS = 1 << 18  # words a pass of `_successor_keys` steps (one state if its 2^K is more)
+TABLE_PASS_WORDS = 1 << 18  # words a pass of `_successor_words` steps (one state if its 2^K is more)
+WORD_TABLE_BITS = 24  # widest ring whose words `_columns` reads from a 2^N-entry int32 table: 64 MiB at 24
 
 
 @dataclass(frozen=True)
@@ -96,14 +99,20 @@ def theorem1_bound(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # one-step dynamics on the occupancy mask
 
-def _necklace_gaps(n: int, key: int) -> tuple[int, ...]:
-    """Canonical gap vector of a successor key from `_successor_counts`.
+def _necklace_gaps(n: int, k: int, keys: np.ndarray) -> list[tuple[int, ...]]:
+    """Canonical gap vectors of the necklace keys of K-token states.
 
     Read from bit n-1 down, a key spells each gap g as one clear bit (the
     token) and g-1 set bits, so the least rotation of the key starts at a
     token and spells the lexicographically least rotation of the gaps.
+    The token bits are taken lowest first, so the gaps come last first.
     """
-    return tuple(len(run) + 1 for run in format(key, f"0{n}b").split("0")[1:])
+    tokens, bits = keys ^ np.uint64((1 << n) - 1), np.empty((k, len(keys)), dtype=np.int16)
+    for row in bits:
+        low = tokens & -tokens
+        row[:] = np.bitwise_count(low - np.uint64(1))
+        tokens ^= low
+    return list(map(tuple, np.diff(bits, axis=0, prepend=-1)[::-1].T.tolist()))
 
 
 def _token_bits(n: int, gaps: np.ndarray) -> np.ndarray:
@@ -112,16 +121,15 @@ def _token_bits(n: int, gaps: np.ndarray) -> np.ndarray:
     return np.left_shift(np.uint64(1), (n - 1 - np.cumsum(gaps, axis=1) % n).astype(np.uint64))
 
 
-def _successor_keys(n: int, tokens: np.ndarray) -> Iterator[np.ndarray]:
-    """Necklace keys of the complements of each row's 2^K successors (column m: move mask m), by passes."""
+def _successor_words(n: int, tokens: np.ndarray) -> Iterator[np.ndarray]:
+    """Occupancy words of each row's 2^K successors (column m: move mask m), by passes."""
     per_pass = max(1, TABLE_PASS_WORDS >> tokens.shape[1])
     for lo in range(0, len(tokens), per_pass):
         chunk = tokens[lo : lo + per_pass]
         moving = np.zeros((len(chunk), 1), dtype=np.uint64)
         for bit in chunk.T:
             moving = np.concatenate((moving, moving | bit[:, None]), axis=1)
-        occ = np.bitwise_or.reduce(chunk, axis=1, keepdims=True)
-        yield necklace_key(step_occupancy(occ, moving, n) ^ np.uint64((1 << n) - 1), n)
+        yield step_occupancy(np.bitwise_or.reduce(chunk, axis=1, keepdims=True), moving, n)
 
 
 def _successor_counts(n: int, gaps: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -134,10 +142,14 @@ def _successor_counts(n: int, gaps: tuple[int, ...]) -> tuple[tuple[tuple[int, .
     canonical gaps (`_necklace_gaps`), and keys of one token count sort as
     their gaps do, so the result comes out in (K, gaps) order.
     """
-    (succ,) = _successor_keys(n, _token_bits(n, np.array([gaps], dtype=np.int64)))
-    keys, counts = np.unique(succ, return_counts=True)
-    order = np.lexsort((keys, n - np.bitwise_count(keys)))
-    return tuple(zip(map(_necklace_gaps, repeat(n), keys[order].tolist()), counts[order].tolist()))
+    (words,) = _successor_words(n, _token_bits(n, np.array([gaps], dtype=np.int64)))
+    keys, counts = np.unique(necklace_key(words ^ np.uint64((1 << n) - 1), n), return_counts=True)
+    tokens = n - np.bitwise_count(keys).astype(np.int64)
+    order = np.lexsort((keys, tokens))
+    keys, tokens = keys[order], tokens[order]
+    starts = np.flatnonzero(np.diff(tokens, prepend=-1)).tolist()
+    found = [s for lo, hi in zip(starts, starts[1:] + [len(keys)]) for s in _necklace_gaps(n, int(tokens[lo]), keys[lo:hi])]
+    return tuple(zip(found, counts[order].tolist()))
 
 
 def successor_distribution(g: GapVector) -> TransitionLaw:
@@ -172,8 +184,8 @@ def enumerate_states(n: int, most: int | None = None) -> list[tuple[int, ...]]:
             words[1::2] |= np.uint64(1)
             ones = np.bitwise_count(words)  # at most K clear bits so far, and room left for K
             words = words[(ones >= max(placed - k, 0)) & (ones <= n - k)]
-        found.append(words[necklace_key(words, n) == words])
-    return list(map(_necklace_gaps, repeat(n), np.concatenate(found).tolist()))
+        found.extend(_necklace_gaps(n, k, words[necklace_key(words, n) == words]))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -304,38 +316,75 @@ def _mirror_classes(n: int, keys: np.ndarray) -> np.ndarray:
     return np.argsort(np.argsort(first))[inverse]
 
 
+def _word_table(n: int, keys: np.ndarray, values: np.ndarray, dtype) -> np.ndarray:
+    """One entry per n-bit occupancy word: values[i] at every rotation of state i's token word, -1 at the rest.
+
+    `keys` are the states' `_state_keys`, the complements of their token
+    words.  Every word lies in exactly one necklace, so no two states write
+    one entry."""
+    table = np.full(1 << n, -1, dtype=dtype)
+    words = keys ^ np.uint64((1 << n) - 1)
+    for _ in range(n):
+        table[words.view(np.int64)] = values
+        words = _rotl(words, n)
+    return table
+
+
+def _columns(n: int, keys: np.ndarray, classes: np.ndarray):
+    """A function from occupancy words (uint64) to their states' class columns, -1 for a word of no listed state.
+
+    Up to WORD_TABLE_BITS it is one gather from a `_word_table` of 2^N
+    int32 entries; above, where that table would pass 64 MiB, it is each
+    word's necklace key (N rotations) searched among the sorted `keys`.
+    Single queries of up to N = 64 take that path."""
+    if n <= WORD_TABLE_BITS:
+        table = _word_table(n, keys, classes, np.int32)
+        return lambda words: table[words.view(np.int64)]  # words < 2^N: int64 indices skip numpy's uint64 cast
+    by_key = np.argsort(keys)
+
+    def columns(words: np.ndarray) -> np.ndarray:
+        succ = necklace_key(words ^ np.uint64((1 << n) - 1), n)
+        where = by_key[np.minimum(np.searchsorted(keys, succ, sorter=by_key), len(keys) - 1)]
+        return np.where(keys[where] == succ, classes[where], -1)
+
+    return columns
+
+
 def _blocks(n: int, states: list[tuple[int, ...]], keys: np.ndarray, classes: np.ndarray) -> Iterator[tuple]:
     """Each token count's hitting-time system times 2^K, ascending in K >= 2: (K, first, matrix, exits).
 
     `keys` are the states' `_state_keys`, computed once per solve, and
     `classes[i]` is state i's class, numbered in order of first member,
     which alone is stepped.  The list must be in (K, gaps) order and closed
-    under successors (ValueError if not).  The rows are classes `first`,
-    `first + 1`, ...; `matrix` is 2^K I - C, C their mask counts, scattered
-    pass by pass into one float64 array, which holds small integers exactly.
+    under successors (ValueError if not).  Each pass of successor words is
+    mapped to class columns by `_columns`: one table gather per word up to
+    WORD_TABLE_BITS, from a table filled for each token count and dropped
+    before its block is yielded.  The rows are classes `first`, `first +
+    1`, ...; `matrix` is 2^K I - C, C their mask counts, scattered pass by
+    pass into one float64 array, which holds small integers exactly.
     `exits`, the entries to fewer tokens, are int32 (block rows, class
     columns, mask counts), row by row and by column.  Nothing yielded is
     kept while the next token count is stepped.
     """
-    size, width = len(states), int(classes.max()) + 1
-    by_key = np.argsort(keys)
+    width = int(classes.max()) + 1
     representatives = list(map(states.__getitem__, np.unique(classes, return_index=True)[1].tolist()))
     first = sum(len(s) < 2 for s in representatives)  # the one-token class comes first and has no block
     for k, group in groupby(representatives[first:], len):
         tokens = _token_bits(n, np.array(list(group), dtype=np.int64))
-        passes = _successor_keys(n, tokens)
+        columns, passes = _columns(n, keys, classes), _successor_words(n, tokens)
         matrix = np.diag(np.full(len(tokens), float(1 << k)))
         exits, lo = [], 0
-        for succ in passes:
-            where = by_key[np.minimum(np.searchsorted(keys, succ, sorter=by_key), size - 1)]
-            if not np.array_equal(keys[where], succ):
+        for words in passes:
+            cols = columns(words)
+            if cols.min() < 0:
                 raise ValueError("the state list is not closed under successors")
-            pairs, counts = np.unique(np.arange(lo, lo + len(succ))[:, None] * width + classes[where], return_counts=True)
+            pairs, counts = np.unique(np.arange(lo, lo + len(words))[:, None] * width + cols, return_counts=True)
             rows, cols = np.divmod(pairs, width)
             inside = cols >= first
             matrix[rows[inside], cols[inside] - first] -= counts[inside]
             exits.append(np.stack((rows, cols, counts))[:, ~inside].astype(np.int32))
-            lo += len(succ)
+            lo += len(words)
+        del columns  # built again for the next token count, so no table is held while this block is solved
         yield k, first, matrix, tuple(np.concatenate(exits, axis=1))
         del matrix, exits
         first += len(tokens)

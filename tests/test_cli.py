@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import no_annihilation
+from herman_lab import cli
 from herman_lab.cli import build_parser, main
 
 
@@ -468,6 +469,30 @@ def test_seed_at_64_bit_limit_is_accepted(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--config", "N=9;gaps=3,3,3", "--runs", "10", "--seed", str(2**64 - 1))
     assert code == 0
     assert json.loads(out)["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["exact", "--sweep", "5"], 0),
+        (["verify", "drift", "--alpha", "25", "--samples", "1", "--n", "5"], 1),  # alpha_constant_24 fails
+        (["exact", "--sweep", "30"], 2),
+    ],
+)
+def test_run_returns_the_code_of_main_then_freezes_the_heap(argv, code, capsys, monkeypatch):
+    events = []
+
+    def spy(argv):
+        events.append("main")
+        result = main(argv)
+        events.append(result)
+        return result
+
+    monkeypatch.setattr(cli, "main", spy)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    assert cli.run(argv) == code
+    assert events == ["main", code, "freeze"]
+    capsys.readouterr()
 
 
 def _cli_process(argv, stdout):

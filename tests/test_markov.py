@@ -242,18 +242,48 @@ def test_lumped_block_rows_are_class_summed_successor_counts():
         assert block_rows(n, states, classes) == class_summed_rows(n, states, classes), n
 
 
+def blocks_as_bytes(n, states, keys, classes):
+    """`_blocks` output as (K, first, and the dtype, shape and bytes of the matrix and of each exit array)."""
+    return [
+        (k, first, *((part.dtype.str, part.shape, part.tobytes()) for part in (matrix, *exits)))
+        for k, first, matrix, exits in markov._blocks(n, states, keys, classes)
+    ]
+
+
+def sides_of_the_word_limit(monkeypatch, n):
+    """Patch `markov` onto the word-table side of WORD_TABLE_BITS, then onto the sorted-key side; yields the side.
+
+    Each side has the other's helper taken away, so a call that took the
+    wrong side fails."""
+    for side in ("table", "sorted"):
+        with monkeypatch.context() as patch:
+            if side == "table":
+                patch.setattr(markov, "necklace_key", None)
+            else:
+                patch.setattr(markov, "WORD_TABLE_BITS", n - 1)
+                patch.setattr(markov, "_word_table", None)
+            yield side
+
+
 def test_blocks_are_the_same_when_a_token_count_spans_passes(monkeypatch):
+    # byte for byte, whole or split over passes of 4 states of K = 5, 1 of K = 7 up, on either side of the word limit
     states = enumerate_states(13)
     keys = markov._state_keys(13, states)
     for classes in (np.arange(len(states)), markov._mirror_classes(13, keys)):
-        whole = list(markov._blocks(13, states, keys, classes))
-        monkeypatch.setattr(markov, "TABLE_PASS_WORDS", 1 << 7)  # 4 states of K = 5 per pass, 1 of K = 7 up
-        split = list(markov._blocks(13, states, keys, classes))
-        assert block_rows(13, states, classes) == class_summed_rows(13, states, classes)
-        monkeypatch.undo()
-        assert [(k, first) for k, first, _m, _e in whole] == [(k, first) for k, first, _m, _e in split]
-        for (_k, _f, a, a_exits), (_k2, _f2, b, b_exits) in zip(whole, split):
-            assert np.array_equal(a, b) and all(np.array_equal(u, v) for u, v in zip(a_exits, b_exits))
+        whole, summed = blocks_as_bytes(13, states, keys, classes), class_summed_rows(13, states, classes)
+        for _side in sides_of_the_word_limit(monkeypatch, 13):
+            assert blocks_as_bytes(13, states, keys, classes) == whole
+            with monkeypatch.context() as patch:
+                patch.setattr(markov, "TABLE_PASS_WORDS", 1 << 7)
+                assert blocks_as_bytes(13, states, keys, classes) == whole
+                assert block_rows(13, states, classes) == summed
+    # and the two sides agree on every ring up to 16, with and without mirror classes
+    for n in range(3, 17):
+        states = enumerate_states(n)
+        keys = markov._state_keys(n, states)
+        for classes in (np.arange(len(states)), markov._mirror_classes(n, keys)):
+            table, keyed = (blocks_as_bytes(n, states, keys, classes) for _side in sides_of_the_word_limit(monkeypatch, n))
+            assert table == keyed, n
 
 
 def test_blocks_at_word_size():
@@ -262,20 +292,21 @@ def test_blocks_at_word_size():
     assert block_rows(64, states, classes) == class_summed_rows(64, states, classes)
 
 
-def test_blocks_reject_a_list_not_closed_under_successors():
-    # (9,) has the largest key, so its successor keys would search past the end;
-    # every other state is reached from the rest of its token count
+def test_blocks_reject_a_list_not_closed_under_successors(monkeypatch):
+    # (9,) has the largest key, so on the sorted-key side its successor keys would search past
+    # the end; every other state is reached from the rest of its token count
     for missing in ((9,), (1, 1, 7), (1, 1, 2, 2, 3)):
         states = enumerate_states(9)
         states.remove(missing)
-        with pytest.raises(ValueError, match="not closed"):
-            list(markov._blocks(9, states, markov._state_keys(9, states), np.arange(len(states))))
+        for _side in sides_of_the_word_limit(monkeypatch, 9):
+            with pytest.raises(ValueError, match="not closed"):
+                list(markov._blocks(9, states, markov._state_keys(9, states), np.arange(len(states))))
 
 
 @pytest.mark.parametrize("solve", [markov.solve_all_exact, markov.solve_all_float])
 def test_no_block_is_alive_while_the_next_token_count_is_stepped(solve, monkeypatch):
     refs, alive = [], []
-    blocks, keys = markov._blocks, markov._successor_keys
+    blocks, words = markov._blocks, markov._successor_words
 
     def track(block):
         refs.append(weakref.ref(block[2]))
@@ -283,11 +314,11 @@ def test_no_block_is_alive_while_the_next_token_count_is_stepped(solve, monkeypa
 
     def spy(n, tokens):
         alive.append(sum(ref() is not None for ref in refs))
-        return keys(n, tokens)
+        return words(n, tokens)
 
     # neither wrapper holds a block: `map` keeps no item it has returned
     monkeypatch.setattr(markov, "_blocks", lambda *args: map(track, blocks(*args)))
-    monkeypatch.setattr(markov, "_successor_keys", spy)
+    monkeypatch.setattr(markov, "_successor_words", spy)
     solve(11)
     assert alive == [0] * 5  # one pass for each of K = 3, 5, 7, 9, 11
 
@@ -870,13 +901,13 @@ def test_every_state_reaches_each_state_with_at_most_its_token_count():
 def test_a_solve_keeps_nothing_between_calls(monkeypatch):
     # no solved value survives a call: every solve steps every token count again
     stepped = []
-    keys = markov._successor_keys
+    words = markov._successor_words
 
     def spy(n, tokens):
         stepped.append(tokens.shape[1])
-        return keys(n, tokens)
+        return words(n, tokens)
 
-    monkeypatch.setattr(markov, "_successor_keys", spy)
+    monkeypatch.setattr(markov, "_successor_words", spy)
     every_k = {k for k in map(len, enumerate_states(11)) if k >= 2}  # the one-token class has no block to build
     expected = markov.solve_all_exact(11)
     assert set(stepped) == every_k
