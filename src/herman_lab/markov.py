@@ -144,11 +144,10 @@ def _successor_counts(n: int, gaps: tuple[int, ...]) -> tuple[tuple[tuple[int, .
     """
     (words,) = _successor_words(n, _token_bits(n, np.array([gaps], dtype=np.int64)))
     keys, counts = np.unique(necklace_key(words ^ np.uint64((1 << n) - 1), n), return_counts=True)
-    tokens = n - np.bitwise_count(keys).astype(np.int64)
+    tokens = n - np.bitwise_count(keys)
     order = np.lexsort((keys, tokens))
     keys, tokens = keys[order], tokens[order]
-    starts = np.flatnonzero(np.diff(tokens, prepend=-1)).tolist()
-    found = [s for lo, hi in zip(starts, starts[1:] + [len(keys)]) for s in _necklace_gaps(n, int(tokens[lo]), keys[lo:hi])]
+    found = [s for k in sorted(set(tokens.tolist())) for s in _necklace_gaps(n, k, keys[tokens == k])]
     return tuple(zip(found, counts[order].tolist()))
 
 
