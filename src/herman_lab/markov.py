@@ -5,7 +5,8 @@ One synchronous step draws one of the 2^K move masks uniformly.  The
 successors of a state come from the occupancy kernel in `ring`: all 2^K
 masks are stepped at once as N-bit occupancy words (`step_occupancy`), so
 N is limited to the 64-bit word.  A solve reads each word's class column
-from a table over all 2^N words up to WORD_TABLE_BITS (`_columns`), and
+from a table over all 2^N words, up to WORD_TABLE_BITS and where a token
+count has enough successors to pay for the table (`_columns`), and
 `successor_distribution` keys the words by necklace (least rotation) and
 maps them back to canonical gaps.  The drift identities read the same
 successors; their unmerged K-vectors are g plus each mask's +-1/0 gap
@@ -57,6 +58,7 @@ from .ring import _rotl, bracelet_key, check_odd_k, least_rotation, necklace_key
 FLOAT_RESIDUAL_TOL = 1e-9
 TABLE_PASS_WORDS = 1 << 18  # words a pass of `_successor_words` steps (one state if its 2^K is more)
 WORD_TABLE_BITS = 24  # widest ring whose words `_columns` reads from a 2^N-entry int32 table: 64 MiB at 24
+TABLE_ENTRIES_PER_WORD = 16  # most table entries per successor word for which `_columns` builds the table
 
 
 @dataclass(frozen=True)
@@ -315,29 +317,27 @@ def _mirror_classes(n: int, keys: np.ndarray) -> np.ndarray:
     return np.argsort(np.argsort(first))[inverse]
 
 
-def _word_table(n: int, keys: np.ndarray, values: np.ndarray, dtype) -> np.ndarray:
-    """One entry per n-bit occupancy word: values[i] at every rotation of state i's token word, -1 at the rest.
-
-    `keys` are the states' `_state_keys`, the complements of their token
-    words.  Every word lies in exactly one necklace, so no two states write
-    one entry."""
-    table = np.full(1 << n, -1, dtype=dtype)
-    words = keys ^ np.uint64((1 << n) - 1)
-    for _ in range(n):
-        table[words.view(np.int64)] = values
-        words = _rotl(words, n)
-    return table
-
-
-def _columns(n: int, keys: np.ndarray, classes: np.ndarray):
+def _columns(n: int, keys: np.ndarray, classes: np.ndarray, words: int):
     """A function from occupancy words (uint64) to their states' class columns, -1 for a word of no listed state.
 
-    Up to WORD_TABLE_BITS it is one gather from a `_word_table` of 2^N
-    int32 entries; above, where that table would pass 64 MiB, it is each
-    word's necklace key (N rotations) searched among the sorted `keys`.
-    Single queries of up to N = 64 take that path."""
-    if n <= WORD_TABLE_BITS:
-        table = _word_table(n, keys, classes, np.int32)
+    `words` is how many successor words the caller will map.  The table
+    path is one gather from an int32 table over all 2^N words, filled at
+    every rotation of each listed state's token word (the complement of
+    its key; every word lies in exactly one necklace, so no two states
+    write one entry).  It is taken up to WORD_TABLE_BITS, where the table
+    reaches 64 MiB, while the table has no more entries than a pass has
+    words (TABLE_PASS_WORDS; the sorted path's temporaries for one pass
+    are larger) or at most TABLE_ENTRIES_PER_WORD per word.  Filling an
+    entry costs about a sixtieth of keying and searching one word, so past
+    that share a few-token block or query at N > 18 is cheaper, and
+    lighter, on the sorted path.  That path keys each word by necklace (N
+    rotations) and searches it among the sorted `keys`; single queries of
+    up to N = 64 take it."""
+    if n <= WORD_TABLE_BITS and 1 << n <= max(TABLE_PASS_WORDS, TABLE_ENTRIES_PER_WORD * words):
+        table, tokens = np.full(1 << n, -1, dtype=np.int32), keys ^ np.uint64((1 << n) - 1)
+        for _ in range(n):
+            table[tokens.view(np.int64)] = classes
+            tokens = _rotl(tokens, n)
         return lambda words: table[words.view(np.int64)]  # words < 2^N: int64 indices skip numpy's uint64 cast
     by_key = np.argsort(keys)
 
@@ -356,9 +356,10 @@ def _blocks(n: int, states: list[tuple[int, ...]], keys: np.ndarray, classes: np
     `classes[i]` is state i's class, numbered in order of first member,
     which alone is stepped.  The list must be in (K, gaps) order and closed
     under successors (ValueError if not).  Each pass of successor words is
-    mapped to class columns by `_columns`: one table gather per word up to
-    WORD_TABLE_BITS, from a table filled for each token count and dropped
-    before its block is yielded.  The rows are classes `first`, `first +
+    mapped to class columns by `_columns`, chosen for each token count by
+    N and the count's 2^K-fold number of successor words: one table gather
+    per word where it builds a table, which is dropped before the block is
+    yielded.  The rows are classes `first`, `first +
     1`, ...; `matrix` is 2^K I - C, C their mask counts, scattered pass by
     pass into one float64 array, which holds small integers exactly.
     `exits`, the entries to fewer tokens, are int32 (block rows, class
@@ -370,7 +371,7 @@ def _blocks(n: int, states: list[tuple[int, ...]], keys: np.ndarray, classes: np
     first = sum(len(s) < 2 for s in representatives)  # the one-token class comes first and has no block
     for k, group in groupby(representatives[first:], len):
         tokens = _token_bits(n, np.array(list(group), dtype=np.int64))
-        columns, passes = _columns(n, keys, classes), _successor_words(n, tokens)
+        columns, passes = _columns(n, keys, classes, len(tokens) << k), _successor_words(n, tokens)
         matrix = np.diag(np.full(len(tokens), float(1 << k)))
         exits, lo = [], 0
         for words in passes:

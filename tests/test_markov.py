@@ -251,18 +251,42 @@ def blocks_as_bytes(n, states, keys, classes):
 
 
 def sides_of_the_word_limit(monkeypatch, n):
-    """Patch `markov` onto the word-table side of WORD_TABLE_BITS, then onto the sorted-key side; yields the side.
+    """Patch `markov` onto the word-table side of `_columns`' choice for every block, then onto the sorted-key side.
 
-    Each side has the other's helper taken away, so a call that took the
-    wrong side fails."""
+    Yields the side.  Each side has the other's helper taken away, so a
+    call that took the wrong side fails."""
     for side in ("table", "sorted"):
         with monkeypatch.context() as patch:
             if side == "table":
+                patch.setattr(markov, "TABLE_ENTRIES_PER_WORD", 1 << n)
                 patch.setattr(markov, "necklace_key", None)
             else:
                 patch.setattr(markov, "WORD_TABLE_BITS", n - 1)
-                patch.setattr(markov, "_word_table", None)
+                patch.setattr(markov, "_rotl", None)
             yield side
+
+
+def test_the_word_table_is_built_only_for_enough_successor_words(monkeypatch):
+    # a table of 2^13 entries pays for 2^13 / TABLE_ENTRIES_PER_WORD successor words, not one fewer,
+    # once it has more entries than a pass has words; with fewer it is always built
+    states = enumerate_states(13)
+    keys, classes = markov._state_keys(13, states), np.arange(len(states))
+    words = np.concatenate(list(markov._successor_words(13, markov._token_bits(13, np.array(states[1:4])))))
+    enough = (1 << 13) // markov.TABLE_ENTRIES_PER_WORD
+    with monkeypatch.context() as patch:
+        patch.setattr(markov, "_rotl", None)
+        patch.setattr(markov, "TABLE_PASS_WORDS", 1 << 12)
+        keyed = markov._columns(13, keys, classes, enough - 1)(words)
+    for count, pass_words in ((enough, 1 << 12), (1, 1 << 13)):
+        with monkeypatch.context() as patch:
+            patch.setattr(markov, "necklace_key", None)
+            patch.setattr(markov, "TABLE_PASS_WORDS", pass_words)
+            assert np.array_equal(markov._columns(13, keys, classes, count)(words), keyed)
+    assert keyed.min() >= 0
+    # a few-token query below the table's width limit fills no 2^24-entry table
+    with monkeypatch.context() as patch:
+        patch.setattr(markov, "_rotl", None)
+        assert expected_time_exact(GapVector(24, (1, 1, 22)), max_ring=24) == Fraction(4 * 22, 24)
 
 
 def test_blocks_are_the_same_when_a_token_count_spans_passes(monkeypatch):
