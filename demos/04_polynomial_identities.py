@@ -2,6 +2,8 @@
 # of sparse rational polynomials (term maps, not numeric samples).
 # Run as: python demos/04_polynomial_identities.py
 
+import json
+
 from herman_lab.polynomials import (
     SparsePolynomial,
     build_f,
@@ -45,4 +47,4 @@ from herman_lab.polynomials import _compare
 
 broken = build_f3(5) + SparsePolynomial.monomial((0, 0, 1), 5)
 report = _compare("demo", 5, broken, build_f3(5))
-print("forced failure report:", report.to_json())
+print("forced failure report:", json.dumps(report.to_record()))

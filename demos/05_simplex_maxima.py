@@ -44,6 +44,6 @@ print("pair sums (must stay <= 1/24 at a maximum):", [round(s, 6) for s in diag.
 # would force the f5 coefficient below ~19.7, contradicting 24.
 print("chain threshold at K=5:", alpha_threshold(5), "=", float(alpha_threshold(5)))
 print("chain threshold at K=7:", float(alpha_threshold(7)))
-chain = contradiction_chain_check(reports[0].point) if reports else None
+chain = contradiction_chain_check(reports[0]) if reports else None
 if chain is not None:
     print("chain at a scanned point:", chain.reason)

@@ -91,25 +91,29 @@ def cmd_exact(args: argparse.Namespace) -> int:
     if args.config is not None:
         g = parse_gap_vector(args.config)
         check_odd_k(g.token_count, 1)
-        exact = _takes_exact(g.ring_size, g.token_count, args)
-        from . import markov
-        if exact:
-            print(_frac_str(markov.expected_time_exact(g, max_ring=args.exact_capacity_n)))
-        else:
-            print(repr(markov.expected_time_float(g, max_ring=args.float_capacity_n)))
-        return 0
-    n = args.sweep
-    exact = _takes_exact(n, n, args)
+        n, most = g.ring_size, g.token_count
+    else:
+        n = most = args.sweep
+    exact = _takes_exact(n, most, args)
     from . import markov
+    if args.config is not None:
+        query, solve = g, markov.expected_time_exact if exact else markov.expected_time_float
+    else:
+        query, solve = n, markov.solve_all_exact if exact else markov.solve_all_float
+    try:
+        result = solve(query, max_ring=args.exact_capacity_n if exact else args.float_capacity_n)
+    except MemoryError:
+        raise ValueError(f"the solve over ring size {n} needs more memory than can be allocated") from None
+    if args.config is not None:
+        print(_frac_str(result) if exact else repr(result))
+        return 0
     bound = markov.theorem1_bound(n)
     if exact:
-        values = markov.solve_all_exact(n, max_ring=args.exact_capacity_n)
-        ok, argmax, most = _print_sweep(n, values, bound, bound, _frac_str)
+        ok, argmax, most = _print_sweep(n, result, bound, bound, _frac_str)
         fields = {"max_num": most.numerator, "max_den": most.denominator, "argmax_gaps": list(argmax),
                   "bound_num": bound.numerator, "bound_den": bound.denominator}
     else:
-        values = markov.solve_all_float(n, max_ring=args.float_capacity_n)
-        ok, argmax, most = _print_sweep(n, values, float(bound), float(bound) + 1e-9, repr)
+        ok, argmax, most = _print_sweep(n, result, float(bound), float(bound) + 1e-9, repr)
         fields = {"max": most, "argmax_gaps": list(argmax)}
     print(json.dumps({"verdict": "PASS" if ok else "FAIL", "N": n, **fields}))
     return 0 if ok else 1
@@ -197,7 +201,7 @@ def _verify_identities(args):
             polynomials.check_c_rotation_sum(k),
         ]
         for check in checks:
-            yield {"suite": "identities", **json.loads(check.to_json())}
+            yield {"suite": "identities", **check.to_record()}
 
 
 def _verify_kkt(args):
@@ -208,7 +212,7 @@ def _verify_kkt(args):
             continue
         reports = optimize.interior_max_scan(k, opt_cfg)
         bad = sum(1 for r in reports if r.value > optimize.ONE_27 + 1e-9)
-        chains = [optimize.contradiction_chain_check(r.point) for r in reports]
+        chains = [optimize.contradiction_chain_check(r) for r in reports]
         chain_bad = sum(1 for c in chains if c.applicable and (c.implied_alpha_bound or 0) >= 24)
         threshold = optimize.alpha_threshold(k)
         expected = Fraction(216 * (k - 1), 23 * k - 71)

@@ -71,15 +71,15 @@ class SimStats:
     to_record = asdict  # the record's keys are the fields, in this order
 
 
-def _default_cap(n: int, step_cap: int | None) -> int:
-    return DEFAULT_STEP_CAP_FACTOR * n * n if step_cap is None else step_cap
+def _default_cap(n: int) -> int:
+    return DEFAULT_STEP_CAP_FACTOR * n * n
 
 
-def simulate_once(config: Configuration, stream: CoinStream, *, step_cap: int | None = None) -> int:
+def simulate_once(config: Configuration, stream: CoinStream) -> int:
     """Steps until one token remains, driving the occupancy mask with `stream`."""
     check_odd_k(config.token_count, 1)
     n = config.ring_size
-    cap = _default_cap(n, step_cap)
+    cap = _default_cap(n)
     occ = positions_word(config.positions)
     steps = 0
     while occ.bit_count() > 1:
@@ -221,7 +221,7 @@ def _fork_range(*args):
     return pid, open(read, "rb")
 
 
-def run_steps(config: Configuration, runs: int, master_seed: int, *, step_cap: int | None = None) -> np.ndarray:
+def run_steps(config: Configuration, runs: int, master_seed: int) -> np.ndarray:
     """Per-run stabilization steps for runs 0..runs-1, stepped BATCH_RUNS at a time.
 
     On Linux the runs are split over the process's CPUs, one contiguous
@@ -236,7 +236,7 @@ def run_steps(config: Configuration, runs: int, master_seed: int, *, step_cap: i
         raise ValueError("runs must be >= 1")
     n = config.ring_size
     check_simulator_ring(n)
-    cap = _default_cap(n, step_cap)
+    cap = _default_cap(n)  # before any fork, so every range steps under the same cap
     occ0 = positions_word(config.positions)
     out = np.empty(runs, dtype=np.int64)
     workers = _workers(runs, n)
@@ -278,10 +278,9 @@ def summarize(steps: np.ndarray, master_seed: int) -> SimStats:
     )
 
 
-def estimate(config: Configuration, runs: int, master_seed: int, *, step_cap: int | None = None) -> SimStats:
+def estimate(config: Configuration, runs: int, master_seed: int) -> SimStats:
     """Aggregate `runs` independent simulations, reproducible from the seed."""
-    steps = run_steps(config, runs, master_seed, step_cap=step_cap)
-    return summarize(steps, master_seed)
+    return summarize(run_steps(config, runs, master_seed), master_seed)
 
 
 def step_histogram(steps: np.ndarray) -> dict[int, int]:
@@ -319,7 +318,7 @@ def coupled_equivalence(n: int, runs: int, master_seed: int) -> CouplingResult:
     """
     check_bit_ring(n)
     check_simulator_ring(n)
-    cap = _default_cap(n, None)
+    cap = _default_cap(n)
     for run in range(runs):
         stream = CoinStream.from_seed(master_seed, run)
         bits = stream.coin_word(n)

@@ -152,7 +152,7 @@ def _start_points(k: int, cfg: OptimizerConfig) -> list[np.ndarray]:
     return points
 
 
-def _ascents(target: str, k: int, cfg: OptimizerConfig, on_iterate=None):
+def _ascents(target: str, k: int, cfg: OptimizerConfig):
     """(x, f(x), projected gradient norm) at the end of the ascent from each of `_start_points`, in order."""
     value_fn, grad_fn = _value_fn(target, k), _grad_fn(target, k)
     for x0 in _start_points(k, cfg):
@@ -174,8 +174,6 @@ def _ascents(target: str, k: int, cfg: OptimizerConfig, on_iterate=None):
                 t *= 0.5
             else:
                 break
-            if on_iterate is not None:
-                on_iterate(x)
         yield x, fx, gnorm
 
 
@@ -257,7 +255,7 @@ def _lemma14_margins(x, c_values) -> list[float]:
     return margins
 
 
-def maximize(target: str, k: int, cfg: OptimizerConfig, on_iterate=None) -> CriticalPointReport:
+def maximize(target: str, k: int, cfg: OptimizerConfig) -> CriticalPointReport:
     """Best point over multi-start projected ascent: the uniform point, one
     three-token boundary embedding (f3, f5 and f are rotation-invariant for
     odd K, so its K - 1 rotations add nothing), and cfg.starts random starts."""
@@ -265,56 +263,49 @@ def maximize(target: str, k: int, cfg: OptimizerConfig, on_iterate=None) -> Crit
         raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
     check_odd_k(k, 3)
     # ties keep the first point found; values are checked, not argmaxes
-    x, fx, gnorm = max(_ascents(target, k, cfg, on_iterate), key=lambda ascent: ascent[1])
+    x, fx, gnorm = max(_ascents(target, k, cfg), key=lambda ascent: ascent[1])
     interior = float(x.min()) > TOL_INTERIOR
     converged = gnorm <= TOL_GRAD or not interior
     return kkt_report(x, target, grad_norm=gnorm, converged=converged)
 
 
 def interior_max_scan(k: int, cfg: OptimizerConfig) -> list[CriticalPointReport]:
-    """All converged interior critical points of f found by the multi-start scan.
+    """All converged interior critical points of f found by the multi-start scan, highest f first.
 
-    Raises if any such point has f above 1/27 + 1e-9; none can exist.
-    """
+    None can have f above 1/27; the caller holds each report's value to that."""
     check_odd_k(k, 5)
     reports = [
         kkt_report(x, "f", grad_norm=gnorm, converged=True)
         for x, _fx, gnorm in _ascents("f", k, cfg)
         if float(x.min()) > TOL_INTERIOR and gnorm <= TOL_GRAD
     ]
-    reports.sort(key=lambda r: (-r.value, r.point))
-    for report in reports:
-        if report.value > ONE_27 + 1e-9:
-            raise RuntimeError(
-                f"interior critical point with f = {report.value} exceeds 1/27 at K={k}: {report.point}"
-            )
-    return reports
+    return sorted(reports, key=lambda r: (-r.value, r.point))
 
 
-def contradiction_chain_check(point) -> ChainReport:
-    """Evaluate the interior-maximum contradiction chain at a point.
+def contradiction_chain_check(report: CriticalPointReport) -> ChainReport:
+    """Evaluate the interior-maximum contradiction chain at a reported point.
 
     Applicable only to interior points passing the first- and second-order
     conditions with f > 1/27; at such a point the chain implies an upper
     bound on the f5 coefficient, contradicting 24.  No admissible point
-    exists, so real scans report "not applicable".
+    exists, so real scans report "not applicable".  The c values and pair
+    sums are the report's; only f and f5 are evaluated here.
     """
-    x = tuple(float(v) for v in point)
-    k = len(x)
-    f_value = _value_fn("f", k)(np.asarray(x))
-    c_values = [lyapunov.c_value(x, j) for j in range(k)]
+    x = np.asarray(report.point)
+    k = x.size
+    f_value = _value_fn("f", k)(x)
+    c_values = report.c_values
     c_spread = max(c_values) - min(c_values)
     c_mean = sum(c_values) / k
-    second = [lyapunov.second_order_sum(x, j) for j in range(k)]
-    if min(x) <= TOL_INTERIOR:
+    if not report.interior:
         return ChainReport(k, False, "point is not interior", f_value)
     if f_value <= ONE_27:
         return ChainReport(k, False, "f value does not exceed 1/27", f_value)
     if c_spread > 10 * TOL_GRAD:
         return ChainReport(k, False, "first-order condition fails (c not constant)", f_value)
-    if max(second) > 1.0 / ALPHA + 10 * TOL_GRAD:
+    if max(report.second_order) > 1.0 / ALPHA + 10 * TOL_GRAD:
         return ChainReport(k, False, "second-order condition fails", f_value)
-    f5_value = _value_fn("f5", k)(np.asarray(x))
+    f5_value = _value_fn("f5", k)(x)
     denom = (3 * k - 9) / 2 * f_value - (k - 1) / 2 * ALPHA * f5_value
     implied = (k - 1) / 2 / denom if denom > 0 else math.inf
     return ChainReport(k, True, "chain evaluated", f_value, implied, c_mean, c_spread)

@@ -11,7 +11,6 @@ variable indices, and substitution are all the checks need.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -200,17 +199,11 @@ class IdentityCheck:
     def __bool__(self) -> bool:
         return self.ok
 
-    def to_json(self) -> str:
-        payload = {
-            "identity": self.identity,
-            "K": self.K,
-            "missing_terms": self.missing_terms,
-            "extra_terms": self.extra_terms,
-        }
+    def to_record(self) -> dict:
+        record = {"identity": self.identity, "K": self.K, "missing_terms": self.missing_terms, "extra_terms": self.extra_terms}
         if self.l is not None:
-            payload["l"] = self.l
-        payload["pass"] = self.ok
-        return json.dumps(payload)
+            record["l"] = self.l
+        return {**record, "pass": self.ok}
 
 
 def _compare(identity: str, k: int, lhs: SparsePolynomial, rhs: SparsePolynomial, l: int | None = None) -> IdentityCheck:

@@ -385,6 +385,42 @@ def test_simulate_runs_beyond_memory_is_exit_two(capsys, monkeypatch):
     assert err.startswith("error: --runs") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--sweep", "7"],
+        ["exact", "--config", "N=9;gaps=3,3,3"],
+        ["exact", "--float", "--sweep", "9", "--exact-capacity-n", "8"],
+    ],
+    ids=("sweep", "config", "float-sweep"),
+)
+def test_exact_solve_beyond_memory_is_exit_two(argv, capsys, monkeypatch):
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("unable to allocate the block")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)  # the exact path's block inverse
+    monkeypatch.setattr(np.linalg, "solve", refuse)  # the float path's block solve
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the solve over ring size") and len(err.strip().splitlines()) == 1
+
+
+def test_verify_kkt_violation_is_a_failing_record(capsys, monkeypatch):
+    # with the bound lowered to 0, every interior critical point the scan finds breaks it
+    from herman_lab import optimize
+
+    monkeypatch.setattr(optimize, "ONE_27", 0.0)
+    code, out, _ = run_cli(capsys, "verify", "kkt", "--max-k", "5", "--opt-starts", "5", "--samples", "2")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    scan = next(r for r in records if r.get("check") == "interior_scan")
+    assert scan["violations"] == scan["interior_points"] > 0 and scan["pass"] is False
+    assert records[-1]["summary"] and records[-1]["failures"] >= 1 and records[-1]["pass"] is False
+
+
 @pytest.mark.parametrize("max_iters", ["0", "-1"])
 def test_optimize_max_iters_below_one_is_exit_two(max_iters, capsys):
     code, out, err = run_cli(

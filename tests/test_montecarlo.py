@@ -124,9 +124,14 @@ def test_estimates_match_exact_values(n, gaps):
     assert abs(stats.mean - exact) <= 4 * stats.stderr
 
 
-def _breaches_cap(config, seed, run, cap):
+def cap_steps(monkeypatch, cap):
+    """Cap every run at `cap` steps; `run_steps` reads the cap before it forks, so its children inherit it."""
+    monkeypatch.setattr(mc, "_default_cap", lambda n: cap)
+
+
+def _breaches_cap(config, seed, run):
     try:
-        simulate_once(config, CoinStream.from_seed(seed, run), step_cap=cap)
+        simulate_once(config, CoinStream.from_seed(seed, run))
     except StepLimitError:
         return True
     return False
@@ -145,15 +150,16 @@ def test_step_cap_breach_is_an_error(cap, split, monkeypatch):
     # where the lowest range's error wins
     if split:
         force_split(monkeypatch)
+    cap_steps(monkeypatch, cap)
     config = state(9, (3, 3, 3))
-    first = next((i for i in range(100) if _breaches_cap(config, 1, i, cap)), None)
+    first = next((i for i in range(100) if _breaches_cap(config, 1, i)), None)
     if first is None:
-        scalar = [simulate_once(config, CoinStream.from_seed(1, i), step_cap=cap) for i in range(100)]
+        scalar = [simulate_once(config, CoinStream.from_seed(1, i)) for i in range(100)]
         assert max(scalar) == cap
-        assert run_steps(config, 100, 1, step_cap=cap).tolist() == scalar
+        assert run_steps(config, 100, 1).tolist() == scalar
         return
     with pytest.raises(StepLimitError) as info:
-        run_steps(config, 100, 1, step_cap=cap)
+        run_steps(config, 100, 1)
     assert info.value.run_index == first
     assert info.value.cap == cap
 
@@ -163,8 +169,9 @@ def test_no_worker_outlives_run_steps(monkeypatch):
     config = state(9, (3, 3, 3))
     run_steps(config, 100, 1)
     assert_no_children()
-    with pytest.raises(StepLimitError):
-        run_steps(config, 100, 1, step_cap=42)
+    with monkeypatch.context() as capped, pytest.raises(StepLimitError):
+        cap_steps(capped, 42)
+        run_steps(config, 100, 1)
     assert_no_children()
     # interrupted while this process steps its own range, before any child is read
     parent, run_batch = os.getpid(), mc._run_batch

@@ -1,9 +1,11 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from herman_lab import lyapunov
 from herman_lab import optimize as opt
 from herman_lab.lyapunov import f3
 from herman_lab.optimize import (
@@ -79,10 +81,18 @@ def test_maximize_deterministic():
     assert a == b
 
 
-def test_f3_bounded_on_visited_points():
+def test_f3_bounded_on_visited_points(monkeypatch):
+    # every point the ascent visits, accepted step or not, is a projection onto the simplex
     seen = []
-    maximize("f3", 5, OptimizerConfig(starts=5, seed=4), on_iterate=lambda x: seen.append(tuple(x)))
-    assert seen
+
+    def spy(v):
+        x = project_to_simplex(v)
+        seen.append(tuple(x))
+        return x
+
+    monkeypatch.setattr(opt, "project_to_simplex", spy)
+    maximize("f3", 5, OptimizerConfig(starts=5, seed=4))
+    assert len(seen) > 7  # more than the one projection of each start point
     for x in seen:
         total = sum(x)
         assert f3(tuple(v / total for v in x)) <= Fraction(1, 24) + Fraction(1, 10**12)
@@ -187,15 +197,49 @@ def test_interior_scan_rejects_k3():
 def test_chain_not_applicable_at_scanned_points():
     reports = interior_max_scan(5, OptimizerConfig(starts=20, seed=8))
     for report in reports:
-        chain = contradiction_chain_check(report.point)
+        chain = contradiction_chain_check(report)
         assert not chain.applicable
         assert chain.reason == "f value does not exceed 1/27"
 
 
 def test_chain_not_applicable_on_boundary():
-    chain = contradiction_chain_check((1 / 3, 1 / 3, 1 / 3, 0.0, 0.0))
+    chain = contradiction_chain_check(kkt_report((1 / 3, 1 / 3, 1 / 3, 0.0, 0.0)))
     assert not chain.applicable
     assert chain.reason == "point is not interior"
+
+
+def _chain_from_point(point):
+    """The chain with its c values and pair sums computed straight from the point, as a reference."""
+    x = tuple(point)
+    k = len(x)
+    f_value = opt._value_fn("f", k)(np.asarray(x))
+    c_values = [lyapunov.c_value(x, j) for j in range(k)]
+    c_spread = max(c_values) - min(c_values)
+    if min(x) <= opt.TOL_INTERIOR:
+        return opt.ChainReport(k, False, "point is not interior", f_value)
+    if f_value <= opt.ONE_27:
+        return opt.ChainReport(k, False, "f value does not exceed 1/27", f_value)
+    if c_spread > 10 * opt.TOL_GRAD:
+        return opt.ChainReport(k, False, "first-order condition fails (c not constant)", f_value)
+    if max(lyapunov.second_order_sum(x, j) for j in range(k)) > 1 / 24 + 10 * opt.TOL_GRAD:
+        return opt.ChainReport(k, False, "second-order condition fails", f_value)
+    denom = (3 * k - 9) / 2 * f_value - (k - 1) / 2 * 24 * opt._value_fn("f5", k)(np.asarray(x))
+    implied = (k - 1) / 2 / denom if denom > 0 else math.inf
+    return opt.ChainReport(k, True, "chain evaluated", f_value, implied, sum(c_values) / k, c_spread)
+
+
+@pytest.mark.parametrize("bound", (1 / 27, 0.0), ids=("one_27", "zero"))
+def test_chain_of_a_report_equals_the_chain_of_its_point(bound, monkeypatch):
+    # with the bound lowered to 0 the chain passes its f test and reaches the later conditions
+    monkeypatch.setattr(opt, "ONE_27", bound)
+    reports = [r for k in (5, 7, 9) for r in interior_max_scan(k, OptimizerConfig(starts=8, seed=1))]
+    assert {len(r.point) for r in reports} == {5, 7, 9}
+    reports.append(kkt_report((0.5, 0.25, 0.25, 0.0, 0.0)))
+    chains = [contradiction_chain_check(r) for r in reports]
+    assert chains == [_chain_from_point(r.point) for r in reports]
+    reasons = {c.reason for c in chains}
+    assert "point is not interior" in reasons
+    assert reasons >= ({"chain evaluated", "second-order condition fails"} if bound == 0 else {"f value does not exceed 1/27"})
 
 
 def test_alpha_threshold_values():
