@@ -17,9 +17,10 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
-from .lyapunov import ALPHA, TARGETS, V, V3, V5
-from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, OCCUPANCY_BITS, CapacityError, GapVector, StepLimitError
-from .ring import _check_capacity, check_odd_k, check_simulator_ring, parse_configuration, parse_gap_vector
+from . import lyapunov
+from .lyapunov import TARGETS, V, V3, V5
+from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, CapacityError, GapVector, StepLimitError, _check_capacity, check_odd_k
+from .ring import check_occupancy_word, check_token_cap, parse_configuration, parse_gap_vector
 from .streams import MASK64, CoinStream, stream_key
 
 OUTPUT_FORMATS = ("json", "csv")
@@ -56,7 +57,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.runs < 1:
         raise ValueError("--runs must be >= 1")
     check_odd_k(config.token_count, 1)
-    check_simulator_ring(config.ring_size)
+    check_occupancy_word(config.ring_size)
     from . import montecarlo
     try:
         steps = montecarlo.run_steps(config, args.runs, args.seed)
@@ -143,12 +144,11 @@ def _random_gap_state(rng_stream: CoinStream, k: int, n: int) -> GapVector:
 
 def _verify_drift(args):
     from . import markov
-    alpha = args.alpha if args.alpha is not None else ALPHA
 
     def record(check, k, states, fails):
         return {"suite": "drift", "check": check, "K": k, "states": states, "failures": fails, "pass": fails == 0}
 
-    yield record("alpha_constant_24", None, 1, 0 if alpha == 24 else 1)
+    yield record("alpha_constant_24", None, 1, 0 if lyapunov.ALPHA == 24 else 1)
     stream = CoinStream(stream_key(args.seed, 977))
     for k in (3, 5, 7, 9):
         if k + 1 > args.n:
@@ -157,17 +157,12 @@ def _verify_drift(args):
         for _ in range(args.samples):
             n = k + 1 + stream.next_word() % (args.n - k)
             g = _random_gap_state(stream, k, n)
-            if not markov.verify_drift_V3(g).passed:
-                fails["lemma3"] += 1
-            if not markov.verify_drift_V(g, alpha=alpha).passed:
-                fails["lemma6"] += 1
-            if V(g, alpha=alpha) != V3(g) - 24 * V5(g):
-                fails["v_identity"] += 1
+            fails["lemma3"] += not markov.verify_drift_V3(g).passed
+            fails["lemma6"] += not markov.verify_drift_V(g).passed
+            fails["v_identity"] += V(g) != V3(g) - 24 * V5(g)
             if k >= 5:
-                if not markov.verify_drift_V5(g).passed:
-                    fails["lemma8"] += 1
-                if not markov.verify_prop17(g).passed:
-                    fails["prop17"] += 1
+                fails["lemma8"] += not markov.verify_drift_V5(g).passed
+                fails["prop17"] += not markov.verify_prop17(g).passed
         checks = ("lemma3", "lemma6", "v_identity") + (("lemma8", "prop17") if k >= 5 else ())
         for check in checks:
             yield record(check, k, args.samples, fails[check])
@@ -206,10 +201,9 @@ def _verify_identities(args):
 
 def _verify_kkt(args):
     from . import optimize
-    opt_cfg = optimize.OptimizerConfig(starts=args.opt_starts, seed=args.seed)
-    for k in (5, 7, 9):
-        if k > args.max_k:
-            continue
+    opt_cfg = optimize.OptimizerConfig(starts=args.opt_starts, seed=args.seed)  # refused here, before any record
+
+    def records(k):
         reports = optimize.interior_max_scan(k, opt_cfg)
         bad = sum(1 for r in reports if r.value > optimize.ONE_27 + 1e-9)
         chains = [optimize.contradiction_chain_check(r) for r in reports]
@@ -222,6 +216,8 @@ def _verify_kkt(args):
         err = optimize.gradient_fd_validation(k, args.samples, seed=args.seed)
         yield {"suite": "kkt", "check": "derivative_fd", "K": k, "max_rel_err": err, "pass": bool(err <= 1e-6)}
 
+    return (record for k in (5, 7, 9) if k <= args.max_k for record in records(k))
+
 
 def _verify_coupling(args):
     from . import montecarlo
@@ -232,31 +228,33 @@ def _verify_coupling(args):
         yield {"suite": "coupling", "check": "trajectories", "N": n, "runs": args.runs, "pass": result.passed, "failure": result.failure}
 
 
+# each suite's record generator and the least value of each flag it reads, below which it runs no check (N = 4 is the
+# smallest ring with a 3-token drift state, N = 3 the smallest bit ring); `all` takes each flag's largest
+SUITES = {
+    "drift": (_verify_drift, {"samples": 1, "n": 4}),
+    "moments": (_verify_moments, {"max_k": 3}),
+    "identities": (_verify_identities, {"max_k": 5}),
+    "kkt": (_verify_kkt, {"max_k": 5, "samples": 1}),
+    "coupling": (_verify_coupling, {"n": 3, "runs": 1}),
+}
+# the upper bound of a flag, by its envelope rule: --n rings are stepped as occupancy words, --max-k counts tokens
+UPPER = {"n": check_occupancy_word, "max_k": lambda k: check_token_cap(k, "--max-k")}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
-    # below these a suite runs no check; N = 4 is the smallest ring with a 3-token drift state
-    least = {"samples": 1, "runs": 1, "n": 4}
-    if args.suite in ("moments", "identities", "kkt", "all"):
-        least["max_k"] = 3 if args.suite == "moments" else 5
-    for name, low in least.items():
-        if getattr(args, name) < low:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} must be >= {low} for verify {args.suite}, got {getattr(args, name)}")
-    # drift and coupling step rings of up to --n processes as occupancy words
-    if args.suite in ("drift", "coupling", "all") and args.n > OCCUPANCY_BITS:
-        raise ValueError(f"--n must be <= {OCCUPANCY_BITS} for verify {args.suite}, got {args.n}")
-    suites = {
-        "drift": _verify_drift,
-        "moments": _verify_moments,
-        "identities": _verify_identities,
-        "kkt": _verify_kkt,
-        "coupling": _verify_coupling,
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    for flag in dict.fromkeys(flag for name in names for flag in SUITES[name][1]):
+        value, low = getattr(args, flag), max(SUITES[name][1].get(flag, 0) for name in names)
+        if value < low:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= {low} for verify {args.suite}, got {value}")
+        if flag in UPPER:
+            UPPER[flag](value)
+    records = [(name, SUITES[name][0](args)) for name in names]  # so a suite refuses its own settings before any output
     grand_total = grand_failures = 0
-    for name in names:
+    for name, suite in records:
         total = failures = 0
-        for record in suites[name](args):  # each suite yields one record per check
+        for record in suite:  # each suite yields one record per check
             print(json.dumps(record))
             total += 1
             failures += not record["pass"]
@@ -269,8 +267,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
-    if args.k > OCCUPANCY_BITS - 1:  # the cost grows as K^5, so refuse before any of it is spent
-        raise ValueError(f"--k must be at most {OCCUPANCY_BITS - 1}, the most tokens (K odd) a ring of {OCCUPANCY_BITS} holds, got {args.k}")
+    check_token_cap(args.k, "--k")
     if args.opt_starts >= 1 and args.max_iters >= 1:  # else `OptimizerConfig` refuses those first
         check_odd_k(args.k, 3)
     from . import optimize
@@ -328,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=12, help="max ring size for random drift states / coupling")
     p_verify.add_argument("--samples", type=int, default=50)
     p_verify.add_argument("--runs", type=int, default=200, help="coupling trajectories per ring size")
-    p_verify.add_argument("--alpha", type=int, default=None, help="fault-injection hook: corrupt the f5 coefficient")
     p_verify.add_argument("--opt-starts", type=int, default=50)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .ring import GapVector, check_odd_k
 
-ALPHA = 24  # coefficient of f5 in f; the protocol analysis needs exactly 24
+ALPHA = 24  # coefficient of f5 in f, exactly 24 in the analysis; read as `lyapunov.ALPHA` at call time, so one patch reaches all
 TARGETS = ("f3", "f5", "f")  # the polynomials below that `optimize` maximizes
 
 SIMPLEX_TOL = 1e-12
@@ -113,9 +113,9 @@ def V5(g: GapVector) -> Fraction:
     return Fraction(4 * f5(g.gaps, check=False), n**3)
 
 
-def V(g: GapVector, alpha=ALPHA) -> Fraction:
-    """V3 - alpha V5; `verify --alpha` corrupts alpha to show the drift check fails."""
-    return V3(g) - alpha * V5(g)
+def V(g: GapVector) -> Fraction:
+    """V3 - ALPHA V5."""
+    return V3(g) - ALPHA * V5(g)
 
 
 def c_value(x: Sequence, k: int = 0):

@@ -50,8 +50,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .lyapunov import ALPHA, V, V3, V5, f3, f5
-from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, GapVector, _check_capacity, _check_word
+from . import lyapunov
+from .lyapunov import V, V3, V5, f3, f5
+from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, GapVector, _check_capacity, check_occupancy_word
 from .ring import CapacityError  # noqa: F401 -- what the solves raise, through `_check_capacity`
 from .ring import _rotl, bracelet_key, check_odd_k, least_rotation, necklace_key, step_occupancy
 
@@ -119,7 +120,7 @@ def _necklace_gaps(n: int, k: int, keys: np.ndarray) -> list[tuple[int, ...]]:
 
 def _token_bits(n: int, gaps: np.ndarray) -> np.ndarray:
     """Token i of each row of an (m, K) gap array sits on bit n-1-p_i, p_i where gap i ends."""
-    _check_word(n)
+    check_occupancy_word(n)
     return np.left_shift(np.uint64(1), (n - 1 - np.cumsum(gaps, axis=1) % n).astype(np.uint64))
 
 
@@ -549,13 +550,13 @@ def verify_drift_V5(g: GapVector) -> DriftCheck:
     return DriftCheck(lhs, rhs, lhs == rhs)
 
 
-def verify_drift_V(g: GapVector, alpha=ALPHA) -> VDriftCheck:
+def verify_drift_V(g: GapVector) -> VDriftCheck:
     """E(V(z')|z) - V(z) <= -1, exactly in rationals."""
     check_odd_k(g.token_count, 3)
     n, k = g.ring_size, g.token_count
     sum_f3, sum_f5, _ = _drift_sums(n, g.gaps)
-    expectation = Fraction(4 * sum_f3, n * (1 << k)) - alpha * Fraction(4 * sum_f5, n**3 * (1 << k))
-    drift = expectation - V(g, alpha=alpha)
+    expectation = Fraction(4 * sum_f3, n * (1 << k)) - lyapunov.ALPHA * Fraction(4 * sum_f5, n**3 * (1 << k))
+    drift = expectation - V(g)
     return VDriftCheck(drift, drift <= -1)
 
 

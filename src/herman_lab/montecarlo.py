@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ring import Configuration, StepLimitError, check_bit_ring, check_odd_k, check_simulator_ring, positions_word, step_occupancy, token_word, word_positions
+from .ring import Configuration, StepLimitError, check_bit_ring, check_odd_k, check_occupancy_word, positions_word, step_occupancy, token_word, word_positions
 from .streams import GOLDEN, MASK64, SCRAMBLE_MULTIPLIERS, SCRAMBLE_SHIFTS, CoinStream
 
 DEFAULT_STEP_CAP_FACTOR = 100  # cap = factor * N^2; a breach is a bug, not a sample
@@ -235,7 +235,7 @@ def run_steps(config: Configuration, runs: int, master_seed: int) -> np.ndarray:
     if runs < 1:
         raise ValueError("runs must be >= 1")
     n = config.ring_size
-    check_simulator_ring(n)
+    check_occupancy_word(n)
     cap = _default_cap(n)  # before any fork, so every range steps under the same cap
     occ0 = positions_word(config.positions)
     out = np.empty(runs, dtype=np.int64)
@@ -317,7 +317,7 @@ def coupled_equivalence(n: int, runs: int, master_seed: int) -> CouplingResult:
     every step the token word of the bits must equal the occupancy word.
     """
     check_bit_ring(n)
-    check_simulator_ring(n)
+    check_occupancy_word(n)
     cap = _default_cap(n)
     for run in range(runs):
         stream = CoinStream.from_seed(master_seed, run)

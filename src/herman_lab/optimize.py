@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import lyapunov
-from .lyapunov import ALPHA, TARGETS, alternating_tuples
+from .lyapunov import TARGETS, alternating_tuples
 from .ring import check_odd_k
 
 ONE_27 = 1.0 / 27.0
@@ -113,7 +113,7 @@ def _value_fn(target: str, k: int):
         return val_f3
     if target == "f5":
         return val_f5
-    return lambda x: val_f3(x) - ALPHA * val_f5(x)
+    return lambda x: val_f3(x) - lyapunov.ALPHA * val_f5(x)
 
 
 def _grad_fn(target: str, k: int):
@@ -131,7 +131,7 @@ def _grad_fn(target: str, k: int):
                 * rx[:, quads[:, 2]]
                 * rx[:, quads[:, 3]]
             ).sum(axis=1)
-            g += -ALPHA * q if target == "f" else q
+            g += -lyapunov.ALPHA * q if target == "f" else q
         return g
 
     return grad
@@ -198,7 +198,7 @@ def kkt_report(
     f_value = _value_fn("f", k)(np.asarray(x))
     lemma12 = None
     if f_value > ONE_27:
-        lemma12 = ALPHA * _value_fn("f5", k)(np.asarray(x)) < 1.0 / 216.0
+        lemma12 = lyapunov.ALPHA * _value_fn("f5", k)(np.asarray(x)) < 1.0 / 216.0
     return CriticalPointReport(
         point=x,
         value=value,
@@ -225,7 +225,7 @@ def is_candidate_maximum(report: CriticalPointReport) -> bool:
     return (
         report.interior
         and report.converged
-        and max(report.second_order) <= 1.0 / ALPHA + 10 * TOL_GRAD
+        and max(report.second_order) <= 1.0 / lyapunov.ALPHA + 10 * TOL_GRAD
     )
 
 
@@ -251,7 +251,7 @@ def _lemma14_margins(x, c_values) -> list[float]:
         for i1, start in zip(odd, starts):
             tail_cub = float(np.cumsum(terms[start:])[-1]) if start < len(terms) else 0.0
             tail_lin = sum(at[i1 + 1 :: 2])
-            margins.append(at[0] * at[i1] * (c_values[shift] - (tail_lin - ALPHA * tail_cub)))
+            margins.append(at[0] * at[i1] * (c_values[shift] - (tail_lin - lyapunov.ALPHA * tail_cub)))
     return margins
 
 
@@ -303,10 +303,10 @@ def contradiction_chain_check(report: CriticalPointReport) -> ChainReport:
         return ChainReport(k, False, "f value does not exceed 1/27", f_value)
     if c_spread > 10 * TOL_GRAD:
         return ChainReport(k, False, "first-order condition fails (c not constant)", f_value)
-    if max(report.second_order) > 1.0 / ALPHA + 10 * TOL_GRAD:
+    if max(report.second_order) > 1.0 / lyapunov.ALPHA + 10 * TOL_GRAD:
         return ChainReport(k, False, "second-order condition fails", f_value)
     f5_value = _value_fn("f5", k)(x)
-    denom = (3 * k - 9) / 2 * f_value - (k - 1) / 2 * ALPHA * f5_value
+    denom = (3 * k - 9) / 2 * f_value - (k - 1) / 2 * lyapunov.ALPHA * f5_value
     implied = (k - 1) / 2 / denom if denom > 0 else math.inf
     return ChainReport(k, True, "chain evaluated", f_value, implied, c_mean, c_spread)
 

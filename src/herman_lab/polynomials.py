@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .lyapunov import ALPHA, alternating_tuples
+from . import lyapunov
+from .lyapunov import alternating_tuples
 from .ring import check_odd_k
 
 Monomial = tuple[int, ...]
@@ -182,7 +183,7 @@ def build_f5(k: int) -> SparsePolynomial:
 
 
 def build_f(k: int) -> SparsePolynomial:
-    return build_f3(k) - ALPHA * build_f5(k)
+    return build_f3(k) - lyapunov.ALPHA * build_f5(k)
 
 
 @dataclass

@@ -16,9 +16,9 @@ the Python-int paths and the parsers load no numpy.
 It is the home of every refusal of input outside the theorem's envelope,
 each rule one numpy-free check that every layer and the CLI call first:
 an odd token count K with a minimum (`check_odd_k`), a bit ring of odd
-N >= 3 (`check_bit_ring`), a simulator ring of at most 64 processes
-(`check_simulator_ring`), and the ring size and state count of a
-hitting-time solve (`_check_capacity`).
+N >= 3 (`check_bit_ring`), at most 64 processes, the uint64 occupancy
+word (`check_occupancy_word`), at most 63 tokens (`check_token_cap`), and
+the ring size and state count of a hitting-time solve (`_check_capacity`).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ MoveMask = Sequence[bool]
 
 
 class CapacityError(RuntimeError):
-    """Raised when a query exceeds the configured ring-size capacity."""
+    """Raised when a solve exceeds the configured ring-size capacity or the state limit."""
 
 
 class StepLimitError(RuntimeError):
@@ -202,15 +202,16 @@ def check_bit_ring(n: int) -> None:
         raise ValueError(f"a bit ring needs an odd N >= 3, got {n}")
 
 
-def check_simulator_ring(n: int) -> None:
-    """Refuse a ring of more processes than the simulator's uint64 occupancy word holds."""
+def check_occupancy_word(n: int) -> None:
+    """Refuse a ring of more processes than the uint64 occupancy word holds, which the simulator and the successor kernel step."""
     if n > OCCUPANCY_BITS:
-        raise ValueError(f"ring size {n} exceeds the {OCCUPANCY_BITS}-process occupancy word of the simulator")
+        raise ValueError(f"ring size {n} exceeds the {OCCUPANCY_BITS}-process occupancy word")
 
 
-def _check_word(n: int) -> None:
-    if n > OCCUPANCY_BITS:
-        raise CapacityError(f"ring size {n} exceeds the {OCCUPANCY_BITS}-process occupancy word")
+def check_token_cap(k: int, flag: str) -> None:
+    """Refuse option `flag`'s token count above the most (K odd) that a ring of the occupancy word holds."""
+    if k > OCCUPANCY_BITS - 1:
+        raise ValueError(f"{flag} must be at most {OCCUPANCY_BITS - 1}, the most tokens (K odd) a ring of {OCCUPANCY_BITS} holds, got {k}")
 
 
 def _state_count(n: int, most: int) -> int:
@@ -222,11 +223,11 @@ def _state_count(n: int, most: int) -> int:
 
 
 def _check_capacity(n: int, most: int, max_ring: int | None, default: int) -> None:
-    """Refuse a solve over `markov.enumerate_states(n, most)` on a ring above the capacity or the occupancy word,
+    """Refuse a solve over `markov.enumerate_states(n, most)` on a ring above the occupancy word or the capacity,
     or of more than STATE_LIMIT states, which no raised capacity lifts."""
     if n < 3:
         raise ValueError(f"ring size must be at least 3, got {n}")
-    _check_word(n)
+    check_occupancy_word(n)
     limit = default if max_ring is None else max_ring
     count = _state_count(n, most)
     if n > limit:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import no_annihilation
-from herman_lab import cli
+from herman_lab import cli, lyapunov
 from herman_lab.cli import build_parser, main
 
 
@@ -233,10 +234,9 @@ def test_verify_drift(capsys):
     assert any(r.get("check") == "lemma3" for r in lines)
 
 
-def test_verify_drift_fails_with_corrupted_alpha(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "drift", "--n", "10", "--samples", "10", "--seed", "7", "--alpha", "23"
-    )
+def test_verify_drift_fails_with_corrupted_alpha(capsys, monkeypatch):
+    monkeypatch.setattr(lyapunov, "ALPHA", 23)
+    code, out, _ = run_cli(capsys, "verify", "drift", "--n", "10", "--samples", "10", "--seed", "7")
     assert code == 1
     lines = [json.loads(line) for line in out.strip().splitlines()]
     alpha_checks = [r for r in lines if r.get("check") == "alpha_constant_24"]
@@ -244,6 +244,25 @@ def test_verify_drift_fails_with_corrupted_alpha(capsys):
     # the V identity pins the coefficient on every K >= 5 state with f5 > 0
     identity = [r for r in lines if r.get("check") == "v_identity" and r.get("K", 0) >= 5]
     assert any(r["failures"] > 0 for r in identity)
+
+
+@pytest.mark.parametrize(
+    "alpha, digest, failing",
+    [
+        # alpha_constant_24, and lemma6 and v_identity at K = 5, 7 and 9
+        (30, "918cf6876d6cd989197177e452cda5e0ace98fbd54dda33dc3de0c66c6d55e7a", 7),
+        (0, "e1c1aac8dc5e320b47b4d8828b540270be26593d6e991c8cd6f704ccf416d875", 4),
+    ],
+)
+def test_alpha_mutation_fails_the_drift_suite(alpha, digest, failing, capsys, monkeypatch):
+    # every module reads the f5 coefficient as `lyapunov.ALPHA` at call time, so one patch reaches them all;
+    # the digests are the output of the `verify --alpha` flag this patch replaces
+    monkeypatch.setattr(lyapunov, "ALPHA", alpha)
+    code, out, _ = run_cli(capsys, "verify", "drift", "--samples", "150", "--n", "12", "--seed", "7")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    records = [json.loads(line) for line in out.splitlines()]
+    assert sum(not r["pass"] for r in records if "check" in r) == failing
 
 
 def test_verify_coupling(capsys):
@@ -262,27 +281,48 @@ def test_verify_coupling_reports_a_broken_step(capsys, monkeypatch):
     assert broken and all(r["failure"] is not None for r in broken)
 
 
+# the least value of each flag a suite reads, below which it runs no check; `all` takes each flag's largest
+VERIFY_LEAST = {
+    "drift": {"--samples": 1, "--n": 4},
+    "moments": {"--max-k": 3},
+    "identities": {"--max-k": 5},
+    "kkt": {"--max-k": 5, "--samples": 1},
+    "coupling": {"--n": 3, "--runs": 1},
+    "all": {"--samples": 1, "--n": 4, "--max-k": 5, "--runs": 1},
+}
+VERIFY_FLAGS = ("--samples", "--n", "--max-k", "--runs")
+
+
+def _verify_argv(suite, **values):
+    """`verify suite` with each flag it reads at its least value, every other at 0, then `values`."""
+    least = VERIFY_LEAST[suite]
+    flags = {flag: least.get(flag, 0) for flag in VERIFY_FLAGS} | values
+    return ["verify", suite, "--opt-starts", "2", *(str(x) for item in flags.items() for x in item)]
+
+
+@pytest.mark.parametrize("suite", VERIFY_LEAST)
+def test_verify_runs_at_the_least_value_of_each_flag_it_reads_and_any_value_of_the_rest(suite, capsys):
+    # so coupling steps a 3-process ring, and moments runs with --n 0, which it does not read
+    code, out, _ = run_cli(capsys, *_verify_argv(suite))
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["checks"] > 0
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("drift", "--samples", "0"),
-        ("coupling", "--runs", "0"),
-        ("drift", "--n", "3"),
-        ("moments", "--max-k", "2"),
-        ("identities", "--max-k", "4"),
-        ("kkt", "--max-k", "4"),
-        ("all", "--max-k", "4"),
-        ("drift", "--n", "65"),
-        ("coupling", "--n", "65"),
-        ("all", "--n", "65"),
-    ],
-    ids=" ".join,
+    "suite, flag",
+    [pytest.param(suite, flag, id=f"{suite} {flag} {low - 1}") for suite, least in VERIFY_LEAST.items() for flag, low in least.items()],
 )
-def test_verify_input_that_runs_no_checks_is_exit_two(argv, capsys):
-    code, out, err = run_cli(capsys, "verify", *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and argv[1] in err and len(err.strip().splitlines()) == 1
+def test_verify_input_that_runs_no_checks_is_exit_two(suite, flag, capsys):
+    low = VERIFY_LEAST[suite][flag]
+    code, out, err = run_cli(capsys, *_verify_argv(suite, **{flag: low - 1}))
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be >= {low} for verify {suite}, got {low - 1}\n"
+
+
+@pytest.mark.parametrize("suite", ["kkt", "all"])
+def test_verify_refuses_optimizer_settings_before_any_record(suite, capsys):
+    code, out, err = run_cli(capsys, "verify", suite, "--opt-starts", "0", "--max-k", "5", "--samples", "2", "--n", "5", "--runs", "2")
+    assert (code, out, err) == (2, "", "error: starts must be >= 1\n")
 
 
 def test_verify_drift_runs_at_the_occupancy_word(capsys):
@@ -511,11 +551,12 @@ def test_seed_at_64_bit_limit_is_accepted(capsys):
     "argv, code",
     [
         (["exact", "--sweep", "5"], 0),
-        (["verify", "drift", "--alpha", "25", "--samples", "1", "--n", "5"], 1),  # alpha_constant_24 fails
+        (["verify", "drift", "--samples", "1", "--n", "5"], 1),  # alpha_constant_24 fails, with ALPHA at 25
         (["exact", "--sweep", "30"], 2),
     ],
 )
 def test_run_returns_the_code_of_main_then_freezes_the_heap(argv, code, capsys, monkeypatch):
+    monkeypatch.setattr(lyapunov, "ALPHA", 25)  # read by verify drift only
     events = []
 
     def spy(argv):

@@ -95,6 +95,8 @@ def test_import_cli_loads_no_numpy():
         pytest.param(2, ("exact", "--float", "--sweep", "30", "--float-capacity-n", "40"), id="exact-sweep-state-limit"),
         pytest.param(2, ("exact", "--config", "N=99;gaps=33,33,33"), id="exact-ring-size"),
         pytest.param(2, ("optimize", "--target", "f", "--k", "65"), id="optimize-k-cap"),
+        pytest.param(2, ("verify", "identities", "--max-k", "65"), id="verify-max-k-cap"),
+        pytest.param(2, ("verify", "drift", "--n", "65"), id="verify-ring-size"),
         pytest.param(2, ("optimize", "--target", "f", "--k", "4"), id="optimize-even-k"),
         pytest.param(2, ("optimize", "--target", "f", "--k", "5", "--seed", "-1"), id="optimize-seed"),
     ],

@@ -425,7 +425,12 @@ def bit_ring_size(n):
     return f"a bit ring needs an odd N >= 3, got {n}"
 
 
-SIMULATOR_65 = "ring size 65 exceeds the 64-process occupancy word of the simulator"
+def token_cap(flag, k):
+    return f"{flag} must be at most 63, the most tokens (K odd) a ring of 64 holds, got {k}"
+
+
+WORD_65 = "ring size 65 exceeds the 64-process occupancy word"
+RING_65 = GapVector(65, (21, 21, 23))
 EVEN = Configuration(5, (1, 3))
 SCAN = optimize.OptimizerConfig(starts=1, max_iters=1)
 
@@ -433,7 +438,11 @@ SCAN = optimize.OptimizerConfig(starts=1, max_iters=1)
 LIBRARY_REFUSALS = [
     (lambda: montecarlo.simulate_once(EVEN, CoinStream.from_seed(0, 0)), odd_k(1, 2)),
     (lambda: montecarlo.run_steps(EVEN, 10, 0), odd_k(1, 2)),
-    (lambda: montecarlo.run_steps(Configuration(65, (1, 2, 3)), 10, 0), SIMULATOR_65),
+    (lambda: montecarlo.run_steps(Configuration(65, (1, 2, 3)), 10, 0), WORD_65),
+    (lambda: markov.expected_time_exact(RING_65, max_ring=65), WORD_65),
+    (lambda: markov.expected_time_float(RING_65, max_ring=65), WORD_65),
+    (lambda: markov.solve_all_exact(65, max_ring=100), WORD_65),
+    (lambda: markov.successor_distribution(RING_65), WORD_65),
     (lambda: markov.expected_time_exact(GapVector(6, (3, 3))), odd_k(1, 2)),
     (lambda: markov.expected_time_exact(GapVector(6, ())), odd_k(1, 0)),
     (lambda: markov.expected_time_float(GapVector(6, (3, 3))), odd_k(1, 2)),
@@ -458,17 +467,27 @@ LIBRARY_REFUSALS = [
     (lambda: polynomials.check_continuity(3), odd_k(5, 3)),
     (lambda: montecarlo.coupled_equivalence(4, 10, 0), bit_ring_size(4)),
     (lambda: montecarlo.coupled_equivalence(1, 10, 0), bit_ring_size(1)),
-    (lambda: montecarlo.coupled_equivalence(65, 10, 0), SIMULATOR_65),
+    (lambda: montecarlo.coupled_equivalence(65, 10, 0), WORD_65),
     (lambda: montecarlo.exhaustive_coupling(4), bit_ring_size(4)),
     (lambda: montecarlo.exhaustive_coupling(1), bit_ring_size(1)),
 ]
 
 CLI_REFUSALS = [
     (("simulate", "--config", "N=8;gaps=4,4"), odd_k(1, 2)),
-    (("simulate", "--config", "N=65;gaps=21,21,23", "--runs", "10"), SIMULATOR_65),
+    (("simulate", "--config", "N=65;gaps=21,21,23", "--runs", "10"), WORD_65),
     (("exact", "--config", "N=8;gaps=4,4"), odd_k(1, 2)),
+    (("exact", "--config", "N=65;gaps=21,21,23"), WORD_65),
+    (("exact", "--config", "N=65;gaps=21,21,23", "--float", "--exact-capacity-n", "65", "--float-capacity-n", "65"), WORD_65),
+    (("exact", "--sweep", "65", "--exact-capacity-n", "65"), WORD_65),
+    (("verify", "drift", "--n", "65"), WORD_65),
+    (("verify", "coupling", "--n", "65"), WORD_65),
+    (("verify", "all", "--n", "65"), WORD_65),
     (("optimize", "--target", "f", "--k", "4"), odd_k(3, 4)),
     (("optimize", "--target", "f3", "--k", "1"), odd_k(3, 1)),
+    (("optimize", "--target", "f", "--k", "65"), token_cap("--k", 65)),
+    (("verify", "identities", "--max-k", "65"), token_cap("--max-k", 65)),
+    (("verify", "moments", "--max-k", "64"), token_cap("--max-k", 64)),
+    (("verify", "all", "--max-k", "65"), token_cap("--max-k", 65)),
 ]
 
 
