@@ -19,16 +19,11 @@ from itertools import combinations
 
 from . import lyapunov
 from .lyapunov import TARGETS, V, V3, V5
-from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, CapacityError, GapVector, StepLimitError, _check_capacity, check_odd_k
-from .ring import check_occupancy_word, check_token_cap, parse_configuration, parse_gap_vector
-from .streams import MASK64, CoinStream, stream_key
+from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, CapacityError, GapVector, StepLimitError, _check_capacity, check_at_least
+from .ring import check_occupancy_word, check_odd_k, check_token_cap, parse_configuration, parse_gap_vector
+from .streams import CoinStream, check_seed, stream_key
 
 OUTPUT_FORMATS = ("json", "csv")
-
-
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed <= MASK64:  # the coin streams take a 64-bit seed
-        raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
 
 
 def _print_record(record: dict, fmt: str) -> None:
@@ -52,10 +47,9 @@ def _frac_str(value: Fraction) -> str:
 # loads only its own and a refusal loads no numpy
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _check_seed(args.seed)
+    check_seed(args.seed)
     config = parse_configuration(args.config)
-    if args.runs < 1:
-        raise ValueError("--runs must be >= 1")
+    check_at_least(args.runs, 1, "--runs")
     check_odd_k(config.token_count, 1)
     check_occupancy_word(config.ring_size)
     from . import montecarlo
@@ -242,7 +236,7 @@ UPPER = {"n": check_occupancy_word, "max_k": lambda k: check_token_cap(k, "--max
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_seed(args.seed)
+    check_seed(args.seed)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for flag in dict.fromkeys(flag for name in names for flag in SUITES[name][1]):
         value, low = getattr(args, flag), max(SUITES[name][1].get(flag, 0) for name in names)
@@ -266,10 +260,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    _check_seed(args.seed)
+    check_seed(args.seed)
     check_token_cap(args.k, "--k")
-    if args.opt_starts >= 1 and args.max_iters >= 1:  # else `OptimizerConfig` refuses those first
-        check_odd_k(args.k, 3)
+    check_at_least(args.opt_starts, 1, "starts")  # `OptimizerConfig`'s names and order, before numpy loads
+    check_at_least(args.max_iters, 1, "max_iters")
+    check_odd_k(args.k, 3)
     from . import optimize
     opt_cfg = optimize.OptimizerConfig(starts=args.opt_starts, seed=args.seed, max_iters=args.max_iters)
     report = optimize.maximize(args.target, args.k, opt_cfg)

@@ -54,7 +54,7 @@ from . import lyapunov
 from .lyapunov import V, V3, V5, f3, f5
 from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, GapVector, _check_capacity, check_occupancy_word
 from .ring import CapacityError  # noqa: F401 -- what the solves raise, through `_check_capacity`
-from .ring import _rotl, bracelet_key, check_odd_k, least_rotation, necklace_key, step_occupancy
+from .ring import _rotl, bracelet_key, check_at_least, check_odd_k, least_rotation, necklace_key, step_occupancy
 
 FLOAT_RESIDUAL_TOL = 1e-9
 TABLE_PASS_WORDS = 1 << 18  # words a pass of `_successor_words` steps (one state if its 2^K is more)
@@ -178,6 +178,7 @@ def enumerate_states(n: int, most: int | None = None) -> list[tuple[int, ...]]:
     that is its own least rotation is kept, and ascending words of one K
     spell ascending gaps, as in `_successor_counts`.
     """
+    check_at_least(n, 3, "ring size")
     found = []
     for k in range(1, (n if most is None else most) + 1, 2):
         words = np.zeros(1, dtype=np.uint64)

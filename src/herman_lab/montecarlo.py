@@ -47,8 +47,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ring import Configuration, StepLimitError, check_bit_ring, check_odd_k, check_occupancy_word, positions_word, step_occupancy, token_word, word_positions
-from .streams import GOLDEN, MASK64, SCRAMBLE_MULTIPLIERS, SCRAMBLE_SHIFTS, CoinStream
+from .ring import Configuration, StepLimitError, check_at_least, check_bit_ring, check_odd_k, check_occupancy_word
+from .ring import positions_word, step_occupancy, token_word, word_positions
+from .streams import GOLDEN, SCRAMBLE_MULTIPLIERS, SCRAMBLE_SHIFTS, CoinStream, check_seed
 
 DEFAULT_STEP_CAP_FACTOR = 100  # cap = factor * N^2; a breach is a bug, not a sample
 COMPACT_DIVISOR = 2  # compact once the steps spent on retired slots add up to half a step of all slots
@@ -110,7 +111,7 @@ def _stream_keys(master_seed: int, lo: int, hi: int) -> np.ndarray:
     scratch = np.empty_like(keys)
     np.multiply(keys, GOLDEN, out=keys)
     _scramble_into(keys, keys, scratch)
-    np.bitwise_xor(keys, master_seed & MASK64, out=keys)
+    np.bitwise_xor(keys, master_seed, out=keys)
     return _scramble_into(keys, keys, scratch)
 
 
@@ -232,8 +233,8 @@ def run_steps(config: Configuration, runs: int, master_seed: int) -> np.ndarray:
     lowest range's first, and no child outlives the call, however it ends.
     """
     check_odd_k(config.token_count, 1)
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    check_at_least(runs, 1, "runs")
+    check_seed(master_seed)  # before any fork, so no range steps a seed the streams would alias
     n = config.ring_size
     check_occupancy_word(n)
     cap = _default_cap(n)  # before any fork, so every range steps under the same cap
@@ -318,6 +319,7 @@ def coupled_equivalence(n: int, runs: int, master_seed: int) -> CouplingResult:
     """
     check_bit_ring(n)
     check_occupancy_word(n)
+    check_at_least(runs, 1, "runs")
     cap = _default_cap(n)
     for run in range(runs):
         stream = CoinStream.from_seed(master_seed, run)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import lyapunov
 from .lyapunov import TARGETS, alternating_tuples
-from .ring import check_odd_k
+from .ring import check_at_least, check_odd_k
 
 ONE_27 = 1.0 / 27.0
 STEP_SIZE = 0.5  # first trial step of each backtracking line search
@@ -36,10 +36,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        check_at_least(self.starts, 1, "starts")
+        check_at_least(self.max_iters, 1, "max_iters")
 
 
 @dataclass(kw_only=True)
@@ -334,6 +332,7 @@ def gradient_fd_validation(k: int, samples: int, *, seed: int = 0) -> float:
     max(1, |analytic value|).
     """
     check_odd_k(k, 5)
+    check_at_least(samples, 1, "samples")
     rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
     d = np.zeros(k)
     d[0], d[2] = -1.0, 1.0

@@ -223,9 +223,10 @@ def _compare(identity: str, k: int, lhs: SparsePolynomial, rhs: SparsePolynomial
 
 def check_continuity(k: int) -> IdentityCheck:
     """Setting x_1 = 0 and merging x_0 + x_2 reduces the K-variable polynomial
-    to the (K-2)-variable one; verified separately for f3 and f5 (f follows)."""
+    to the (K-2)-variable one; verified separately for f3 and f5 (f = f3 - alpha f5
+    follows, since `substitute` is linear)."""
     check_odd_k(k, 5)
-    for name, build in (("f3", build_f3), ("f5", build_f5), ("f", build_f)):
+    for name, build in (("f3", build_f3), ("f5", build_f5)):
         big = build(k)
         small = build(k - 2)
         # Left side: drop every monomial containing x_1 (that is x_1 := 0),
@@ -244,16 +245,12 @@ def check_continuity(k: int) -> IdentityCheck:
     return IdentityCheck("continuity", k)
 
 
-def _even_start_triples(k: int) -> SparsePolynomial:
-    """Sum of the alternating triples x_{i2} x_{i3} x_{i4} with i2 even and at least 2."""
-    chains = alternating_tuples(k, 3)
-    return SparsePolynomial(k, {c: 1 for c in chains if c[0] >= 2 and c[0] % 2 == 0})
-
-
 def check_rotation_sum_identity(k: int) -> IdentityCheck:
-    """Rotations of the even/odd/even triple sum collapse to (K-3)/2 f3."""
+    """Rotations of the even/odd/even triple sum (the alternating triples
+    x_{i2} x_{i3} x_{i4} with i2 even and at least 2) collapse to (K-3)/2 f3."""
     check_odd_k(k, 5)
-    lhs = sum_rotations(_even_start_triples(k))
+    triples = {c: 1 for c in alternating_tuples(k, 3) if c[0] >= 2 and c[0] % 2 == 0}
+    lhs = sum_rotations(SparsePolynomial(k, triples))
     rhs = Fraction(k - 3, 2) * build_f3(k)
     return _compare("rotation_sum", k, lhs, rhs)
 
@@ -293,21 +290,17 @@ def check_c_rotation_sum(k: int) -> IdentityCheck:
 
     Split into two exact polynomial identities: the linear parts sum to
     (K-1)/2 * (x_0 + ... + x_{K-1}) and the cubic parts sum to
-    (K-3)/2 * f3.  On the simplex these combine to
-    K c = (K-1)/2 - (K-3)/2 * alpha * f3.
+    (K-3)/2 * f3, which is `check_rotation_sum_identity`.  On the simplex
+    these combine to K c = (K-1)/2 - (K-3)/2 * alpha * f3.
     """
     check_odd_k(k, 5)
     linear = SparsePolynomial(k, {(i2,): 1 for i2 in range(2, k, 2)})
-    cubic = _even_start_triples(k)
     all_vars = SparsePolynomial(k, {(i,): 1 for i in range(k)})
-    lin_check = _compare(
-        "c_rotation_sum[linear]", k, sum_rotations(linear), Fraction(k - 1, 2) * all_vars
-    )
+    lin_check = _compare("c_rotation_sum[linear]", k, sum_rotations(linear), Fraction(k - 1, 2) * all_vars)
     if not lin_check:
         return lin_check
-    cub_check = _compare(
-        "c_rotation_sum[cubic]", k, sum_rotations(cubic), Fraction(k - 3, 2) * build_f3(k)
-    )
+    cub_check = check_rotation_sum_identity(k)
     if not cub_check:
+        cub_check.identity = "c_rotation_sum[cubic]"
         return cub_check
     return IdentityCheck("c_rotation_sum", k)

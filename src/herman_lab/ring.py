@@ -15,10 +15,12 @@ the Python-int paths and the parsers load no numpy.
 
 It is the home of every refusal of input outside the theorem's envelope,
 each rule one numpy-free check that every layer and the CLI call first:
-an odd token count K with a minimum (`check_odd_k`), a bit ring of odd
-N >= 3 (`check_bit_ring`), at most 64 processes, the uint64 occupancy
-word (`check_occupancy_word`), at most 63 tokens (`check_token_cap`), and
-the ring size and state count of a hitting-time solve (`_check_capacity`).
+at least 3 processes and at least 1 run, sample, start or iteration
+(`check_at_least`), an odd token count K with a minimum (`check_odd_k`),
+a bit ring of odd N >= 3 (`check_bit_ring`), at most 64 processes, the
+uint64 occupancy word (`check_occupancy_word`), at most 63 tokens
+(`check_token_cap`), and the capacity and state count of a hitting-time
+solve (`_check_capacity`).  The seed rule is `streams.check_seed`.
 """
 
 from __future__ import annotations
@@ -67,8 +69,7 @@ class Configuration:
         n = self.ring_size
         pos = tuple(self.positions)
         object.__setattr__(self, "positions", pos)
-        if n < 3:
-            raise ValueError("ring_size must be at least 3")
+        check_at_least(n, 3, "ring size")
         if not pos:
             raise ValueError("configuration needs at least one token")
         if any(not 1 <= p <= n for p in pos):
@@ -96,8 +97,7 @@ class GapVector:
         n = self.ring_size
         gaps = tuple(self.gaps)
         object.__setattr__(self, "gaps", gaps)
-        if n < 3:
-            raise ValueError("ring_size must be at least 3")
+        check_at_least(n, 3, "ring size")
         if gaps:
             if any(g < 1 for g in gaps):
                 raise ValueError("all gaps must be >= 1")
@@ -118,8 +118,7 @@ class BitRing:
     def __post_init__(self):
         bits = tuple(bool(b) for b in self.bits)
         object.__setattr__(self, "bits", bits)
-        if len(bits) < 3:
-            raise ValueError("bit ring needs at least 3 processes")
+        check_at_least(len(bits), 3, "ring size")
         if not token_word(_bit_word(bits), len(bits)):
             raise ValueError("bit ring encodes no token")
 
@@ -190,6 +189,12 @@ def _rotl(mask, n: int):
     return ((mask << 1) | (mask >> (n - 1))) & ((1 << n) - 1)
 
 
+def check_at_least(value: int, least: int, name: str) -> None:
+    """Refuse `name` below `least`: a ring of fewer than 3 processes, or fewer than 1 run, sample, start or iteration."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def check_odd_k(k: int, minimum: int) -> None:
     """Refuse a token count that is even or below `minimum`: the theorem and the protocol hold an odd K."""
     if k < minimum or k % 2 == 0:
@@ -225,8 +230,7 @@ def _state_count(n: int, most: int) -> int:
 def _check_capacity(n: int, most: int, max_ring: int | None, default: int) -> None:
     """Refuse a solve over `markov.enumerate_states(n, most)` on a ring above the occupancy word or the capacity,
     or of more than STATE_LIMIT states, which no raised capacity lifts."""
-    if n < 3:
-        raise ValueError(f"ring size must be at least 3, got {n}")
+    check_at_least(n, 3, "ring size")
     check_occupancy_word(n)
     limit = default if max_ring is None else max_ring
     count = _state_count(n, most)

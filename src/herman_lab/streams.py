@@ -37,11 +37,18 @@ def scramble64(z: int) -> int:
     return z
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a master seed outside 64 bits, which the streams would otherwise alias mod 2^64."""
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
+
+
 def stream_key(master_seed: int, index: int) -> int:
     """Derive the key of stream `index` from a master seed."""
+    check_seed(master_seed)
     if index < 0:
         raise ValueError("stream index must be nonnegative")
-    return scramble64((master_seed & MASK64) ^ scramble64(((index + 1) * GOLDEN) & MASK64))
+    return scramble64(master_seed ^ scramble64(((index + 1) * GOLDEN) & MASK64))
 
 
 class CoinStream:

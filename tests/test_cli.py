@@ -322,7 +322,7 @@ def test_verify_input_that_runs_no_checks_is_exit_two(suite, flag, capsys):
 @pytest.mark.parametrize("suite", ["kkt", "all"])
 def test_verify_refuses_optimizer_settings_before_any_record(suite, capsys):
     code, out, err = run_cli(capsys, "verify", suite, "--opt-starts", "0", "--max-k", "5", "--samples", "2", "--n", "5", "--runs", "2")
-    assert (code, out, err) == (2, "", "error: starts must be >= 1\n")
+    assert (code, out, err) == (2, "", "error: starts must be >= 1, got 0\n")
 
 
 def test_verify_drift_runs_at_the_occupancy_word(capsys):
@@ -391,7 +391,7 @@ def test_exact_sweep_below_three_is_exit_two(n, float_flags, capsys):
     code, out, err = run_cli(capsys, "exact", "--sweep", n, *float_flags)
     assert code == 2
     assert out == ""
-    assert err == f"error: ring size must be at least 3, got {n}\n"
+    assert err == f"error: ring size must be >= 3, got {n}\n"
 
 
 def test_simulate_bad_histogram_path_fails_before_output(tmp_path, capsys):

@@ -99,6 +99,8 @@ def test_import_cli_loads_no_numpy():
         pytest.param(2, ("verify", "drift", "--n", "65"), id="verify-ring-size"),
         pytest.param(2, ("optimize", "--target", "f", "--k", "4"), id="optimize-even-k"),
         pytest.param(2, ("optimize", "--target", "f", "--k", "5", "--seed", "-1"), id="optimize-seed"),
+        pytest.param(2, ("optimize", "--target", "f", "--k", "5", "--starts", "0"), id="optimize-starts"),
+        pytest.param(2, ("optimize", "--target", "f", "--k", "5", "--max-iters", "0"), id="optimize-max-iters"),
     ],
 )
 def test_commands_that_step_no_array_load_no_numpy(code, argv):

@@ -513,7 +513,7 @@ def test_solve_all_rejects_rings_below_three(solve, n, monkeypatch):
         raise AssertionError("states were enumerated")
 
     monkeypatch.setattr(markov, "enumerate_states", no_work)
-    with pytest.raises(ValueError, match=f"ring size must be at least 3, got {n}"):
+    with pytest.raises(ValueError, match=f"ring size must be >= 3, got {n}"):
         solve(n)
 
 

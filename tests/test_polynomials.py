@@ -246,6 +246,14 @@ def test_c_rotation_sum(k):
     assert check_c_rotation_sum(k)
 
 
+def test_c_rotation_sum_names_its_failing_cubic_half(monkeypatch):
+    build = poly.build_f3
+    monkeypatch.setattr(poly, "build_f3", lambda k: build(k) + SparsePolynomial.monomial((0, 1, 2), k))
+    assert check_rotation_sum_identity(7).identity == "rotation_sum"
+    check = check_c_rotation_sum(7)
+    assert not check and check.identity == "c_rotation_sum[cubic]" and check.to_record()["missing_terms"]
+
+
 def test_c_rotation_coefficients():
     # K c = (K-1)/2 - (K-3)/2 alpha f3: coefficients (2,1), (3,2), (4,3)
     for k, lin, cub in ((5, 2, 1), (7, 3, 2), (9, 4, 3)):

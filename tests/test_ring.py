@@ -429,9 +429,18 @@ def token_cap(flag, k):
     return f"{flag} must be at most 63, the most tokens (K odd) a ring of 64 holds, got {k}"
 
 
+def at_least(name, least, value):
+    return f"{name} must be >= {least}, got {value}"
+
+
+def seed(value):
+    return f"seed must lie in 0..2^64-1, got {value}"
+
+
 WORD_65 = "ring size 65 exceeds the 64-process occupancy word"
 RING_65 = GapVector(65, (21, 21, 23))
 EVEN = Configuration(5, (1, 3))
+ODD = Configuration(9, (3, 6, 9))
 SCAN = optimize.OptimizerConfig(starts=1, max_iters=1)
 
 # every entry point of each rule, each kind of bad input, and the one message of its `ring` check
@@ -470,6 +479,21 @@ LIBRARY_REFUSALS = [
     (lambda: montecarlo.coupled_equivalence(65, 10, 0), WORD_65),
     (lambda: montecarlo.exhaustive_coupling(4), bit_ring_size(4)),
     (lambda: montecarlo.exhaustive_coupling(1), bit_ring_size(1)),
+    (lambda: Configuration(2, (1,)), at_least("ring size", 3, 2)),
+    (lambda: GapVector(2, (1, 1)), at_least("ring size", 3, 2)),
+    (lambda: BitRing((False, True)), at_least("ring size", 3, 2)),
+    (lambda: markov.enumerate_states(2), at_least("ring size", 3, 2)),
+    (lambda: markov.solve_all_exact(2), at_least("ring size", 3, 2)),
+    (lambda: montecarlo.run_steps(ODD, 0, 0), at_least("runs", 1, 0)),
+    (lambda: montecarlo.coupled_equivalence(5, 0, 0), at_least("runs", 1, 0)),
+    (lambda: montecarlo.coupled_equivalence(5, -3, 0), at_least("runs", 1, -3)),
+    (lambda: optimize.gradient_fd_validation(5, 0), at_least("samples", 1, 0)),
+    (lambda: optimize.OptimizerConfig(starts=0), at_least("starts", 1, 0)),
+    (lambda: optimize.OptimizerConfig(max_iters=0), at_least("max_iters", 1, 0)),
+    (lambda: montecarlo.run_steps(ODD, 10, 2**64), seed(2**64)),
+    (lambda: montecarlo.run_steps(ODD, 10, -1), seed(-1)),
+    (lambda: CoinStream.from_seed(2**64), seed(2**64)),
+    (lambda: montecarlo.coupled_equivalence(5, 3, -1), seed(-1)),
 ]
 
 CLI_REFUSALS = [
@@ -488,6 +512,11 @@ CLI_REFUSALS = [
     (("verify", "identities", "--max-k", "65"), token_cap("--max-k", 65)),
     (("verify", "moments", "--max-k", "64"), token_cap("--max-k", 64)),
     (("verify", "all", "--max-k", "65"), token_cap("--max-k", 65)),
+    (("exact", "--config", "N=2;gaps=1,1"), at_least("ring size", 3, 2)),
+    (("exact", "--sweep", "2"), at_least("ring size", 3, 2)),
+    (("simulate", "--config", "N=9;gaps=3,3,3", "--runs", "0"), at_least("--runs", 1, 0)),
+    (("optimize", "--target", "f", "--k", "5", "--starts", "0"), at_least("starts", 1, 0)),
+    (("optimize", "--target", "f", "--k", "5", "--max-iters", "0"), at_least("max_iters", 1, 0)),
 ]
 
 
