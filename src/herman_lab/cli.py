@@ -19,7 +19,7 @@ from itertools import combinations
 
 from . import lyapunov
 from .lyapunov import TARGETS, V, V3, V5
-from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, CapacityError, GapVector, StepLimitError, _check_capacity, check_at_least
+from .ring import CapacityError, GapVector, StepLimitError, _check_capacity, _state_count, check_at_least
 from .ring import check_occupancy_word, check_odd_k, check_token_cap, parse_configuration, parse_gap_vector
 from .streams import CoinStream, check_seed, stream_key
 
@@ -69,15 +69,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _takes_exact(n: int, most: int, args: argparse.Namespace) -> bool:
-    """Whether the exact solve over `enumerate_states(n, most)` is in capacity, else the float one (CapacityError if neither is)."""
-    try:
-        _check_capacity(n, most, args.exact_capacity_n, EXACT_RING_LIMIT)
-        return True
-    except CapacityError:
-        if not args.use_float:
-            raise
-    _check_capacity(n, most, args.float_capacity_n, FLOAT_RING_LIMIT)
-    return False
+    """Whether `exact` solves over `enumerate_states(n, most)` exactly: the one place the capacities are compared."""
+    check_at_least(n, 3, "ring size")
+    check_occupancy_word(n)
+    exact = n <= args.exact_capacity_n
+    limit = args.float_capacity_n if args.use_float else args.exact_capacity_n
+    if not exact and n > limit:
+        raise CapacityError(f"ring size {n} exceeds the configured capacity {limit} ({_state_count(n, most)} states); "
+                            "raise the capacity explicitly to run larger instances")
+    _check_capacity(n, most, lumped=exact)
+    return exact
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
@@ -96,7 +97,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
     else:
         query, solve = n, markov.solve_all_exact if exact else markov.solve_all_float
     try:
-        result = solve(query, max_ring=args.exact_capacity_n if exact else args.float_capacity_n)
+        result = solve(query)
     except MemoryError:
         raise ValueError(f"the solve over ring size {n} needs more memory than can be allocated") from None
     if args.config is not None:
@@ -287,10 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="herman-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    shared = {  # a capacity left unset is markov's default limit
+    shared = {
         "--seed": {"type": int, "default": 0},
-        "--exact-capacity-n": {"type": int},
-        "--float-capacity-n": {"type": int},
+        "--exact-capacity-n": {"type": int, "default": 14},
+        "--float-capacity-n": {"type": int, "default": 20},
         "--output-format": {"choices": OUTPUT_FORMATS, "default": "json"},
     }
 

@@ -17,7 +17,7 @@ token count so each linear block only references already-solved smaller
 blocks.  Each block is built from its token count's successor passes over
 a successor-closed state list (`_blocks`) and dropped before the next is
 built: no table of the whole list is kept, nor any solved value between
-calls.
+calls.  A block of more than BLOCK_ROWS rows is refused first (`ring._check_capacity`).
 
 The exact solve has one row per reflection class, a state with its
 mirror image (the reversed gaps): the step commutes with mirroring, so
@@ -52,9 +52,8 @@ import numpy as np
 
 from . import lyapunov
 from .lyapunov import V, V3, V5, f3, f5
-from .ring import EXACT_RING_LIMIT, FLOAT_RING_LIMIT, GapVector, _check_capacity, check_occupancy_word
-from .ring import CapacityError  # noqa: F401 -- what the solves raise, through `_check_capacity`
-from .ring import _rotl, bracelet_key, check_at_least, check_odd_k, least_rotation, necklace_key, step_occupancy
+from .ring import STATE_LIMIT, CapacityError, GapVector, _check_capacity, _state_count, check_at_least, check_occupancy_word
+from .ring import _rotl, bracelet_key, check_odd_k, least_rotation, necklace_key, step_occupancy
 
 FLOAT_RESIDUAL_TOL = 1e-9
 TABLE_PASS_WORDS = 1 << 18  # words a pass of `_successor_words` steps (one state if its 2^K is more)
@@ -178,9 +177,14 @@ def enumerate_states(n: int, most: int | None = None) -> list[tuple[int, ...]]:
     that is its own least rotation is kept, and ascending words of one K
     spell ascending gaps, as in `_successor_counts`.
     """
+    most = n if most is None else most
     check_at_least(n, 3, "ring size")
+    check_occupancy_word(n)
+    count = _state_count(n, most)  # the list, counted before anything is built
+    if count > STATE_LIMIT:
+        raise CapacityError(f"ring size {n} has {count} states with at most {most} tokens, above the {STATE_LIMIT}-state limit of a list")
     found = []
-    for k in range(1, (n if most is None else most) + 1, 2):
+    for k in range(1, most + 1, 2):
         words = np.zeros(1, dtype=np.uint64)
         for placed in range(2, n + 1):
             words = np.repeat(words << np.uint64(1), 2)
@@ -422,10 +426,10 @@ def _solve_states(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int, ...]
     return dict(zip(states, map(values.__getitem__, classes.tolist())))
 
 
-def expected_time_exact(g: GapVector, *, max_ring: int | None = None) -> Fraction:
+def expected_time_exact(g: GapVector) -> Fraction:
     """Exact E[T] for a gap vector with an odd number of tokens."""
     check_odd_k(g.token_count, 1)
-    _check_capacity(g.ring_size, g.token_count, max_ring, EXACT_RING_LIMIT)
+    _check_capacity(g.ring_size, g.token_count, lumped=True)
     return _solve_states(g.ring_size, enumerate_states(g.ring_size, g.token_count))[least_rotation(g.gaps)]
 
 
@@ -445,28 +449,28 @@ def _solve_states_float(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int
     return dict(zip(states, values.tolist()))
 
 
-def expected_time_float(g: GapVector, *, max_ring: int | None = None) -> float:
+def expected_time_float(g: GapVector) -> float:
     """Floating-point E[T] with a residual check on every solved block."""
     check_odd_k(g.token_count, 1)
-    _check_capacity(g.ring_size, g.token_count, max_ring, FLOAT_RING_LIMIT)
+    _check_capacity(g.ring_size, g.token_count, lumped=False)
     return _solve_states_float(g.ring_size, enumerate_states(g.ring_size, g.token_count))[least_rotation(g.gaps)]
 
 
-def solve_all_float(n: int, *, max_ring: int | None = None) -> dict[tuple[int, ...], float]:
+def solve_all_float(n: int) -> dict[tuple[int, ...], float]:
     """Float E[T] for every canonical odd-K state, one pass over the space."""
-    _check_capacity(n, n, max_ring, FLOAT_RING_LIMIT)
+    _check_capacity(n, n, lumped=False)
     return _solve_states_float(n, enumerate_states(n))
 
 
-def solve_all_exact(n: int, *, max_ring: int | None = None) -> dict[tuple[int, ...], Fraction]:
+def solve_all_exact(n: int) -> dict[tuple[int, ...], Fraction]:
     """E[T] for every canonical odd-K state on a ring of n processes."""
-    _check_capacity(n, n, max_ring, EXACT_RING_LIMIT)
+    _check_capacity(n, n, lumped=True)
     return _solve_states(n, enumerate_states(n))
 
 
-def max_expected_time(n: int, *, max_ring: int | None = None) -> tuple[GapVector, Fraction]:
+def max_expected_time(n: int) -> tuple[GapVector, Fraction]:
     """Worst canonical state and its exact E[T]; checks the 4N^2/27 bound."""
-    values = solve_all_exact(n, max_ring=max_ring)
+    values = solve_all_exact(n)
     best_state, best_value = max(values.items(), key=lambda item: (item[1], item[0]))
     bound = theorem1_bound(n)
     if best_value > bound:
@@ -583,9 +587,9 @@ def verify_prop17(g: GapVector) -> Prop17Check:
     return Prop17Check(lhs, rhs, merged, lhs == rhs and lhs == merged)
 
 
-def lyapunov_bound_check(g: GapVector, *, max_ring: int | None = None) -> BoundCheck:
+def lyapunov_bound_check(g: GapVector) -> BoundCheck:
     """E[T] <= V(g) exactly, with equality for three-token states."""
-    et = expected_time_exact(g, max_ring=max_ring)
+    et = expected_time_exact(g)
     v = V(g)
     return BoundCheck(et, v, et <= v, et == v)
 

@@ -18,9 +18,10 @@ each rule one numpy-free check that every layer and the CLI call first:
 at least 3 processes and at least 1 run, sample, start or iteration
 (`check_at_least`), an odd token count K with a minimum (`check_odd_k`),
 a bit ring of odd N >= 3 (`check_bit_ring`), at most 64 processes, the
-uint64 occupancy word (`check_occupancy_word`), at most 63 tokens
-(`check_token_cap`), and the capacity and state count of a hitting-time
-solve (`_check_capacity`).  The seed rule is `streams.check_seed`.
+uint64 occupancy word (`check_occupancy_word`), and at most 63 tokens
+(`check_token_cap`).  The seed rule is `streams.check_seed`.  A solve
+whose largest block has over BLOCK_ROWS rows is a CapacityError from
+`_check_capacity`: a limit of what one run holds, not an input rule.
 """
 
 from __future__ import annotations
@@ -33,16 +34,15 @@ from typing import Sequence
 from .streams import CoinStream
 
 OCCUPANCY_BITS = 64  # occupancy masks are stepped as uint64 words
-EXACT_RING_LIMIT = 14  # default capacities of the exact and float hitting-time solves
-FLOAT_RING_LIMIT = 20
-STATE_LIMIT = 1 << 20  # states one solve may enumerate, whatever its capacity; see `_check_capacity`
+STATE_LIMIT = 1 << 20  # most states `markov.enumerate_states` lists; it refuses a longer list
+BLOCK_ROWS = 10_000  # rows of a solve's largest dense block: about 3.5 GiB at the measured peaks (README, Capacity)
 
 # A move mask is one boolean per token, in position-sorted token order.
 MoveMask = Sequence[bool]
 
 
 class CapacityError(RuntimeError):
-    """Raised when a solve exceeds the configured ring-size capacity or the state limit."""
+    """Raised for a state list over STATE_LIMIT, a solve block over BLOCK_ROWS, or a ring over the CLI's capacity."""
 
 
 class StepLimitError(RuntimeError):
@@ -219,28 +219,30 @@ def check_token_cap(k: int, flag: str) -> None:
         raise ValueError(f"{flag} must be at most {OCCUPANCY_BITS - 1}, the most tokens (K odd) a ring of {OCCUPANCY_BITS} holds, got {k}")
 
 
+def _necklaces(n: int, k: int, mirrored: bool = False) -> int:
+    """Necklaces of n bits with k clear bits (tokens), or if `mirrored` bracelets, by Burnside's lemma."""
+    fixed = 0
+    for d in range(1, k + 1):
+        if k % d == 0 and n % d == 0:  # the phi(d) rotations of order d fix C(n/d, k/d) words each
+            fixed += sum(math.gcd(i, d) == 1 for i in range(d)) * math.comb(n // d, k // d)
+    if not mirrored:
+        return fixed // n
+    return (fixed + n * math.comb((n - 1) // 2, k // 2)) // (2 * n)  # with k odd a reflection fixes C((n-1)//2, (k-1)/2)
+
+
 def _state_count(n: int, most: int) -> int:
-    """len(markov.enumerate_states(n, most)) by Burnside's lemma: phi(d) rotations have n/d cycles of length d
-    and fix each word with m clear cycles, d m clear bits, which is odd and at most `most` for odd d and m."""
-    phi = [sum(math.gcd(i, d) == 1 for i in range(d)) for d in range(n + 1)]
-    odd = [(d, m) for d in range(1, n + 1, 2) if n % d == 0 for m in range(1, most // d + 1, 2)]
-    return sum(phi[d] * math.comb(n // d, m) for d, m in odd) // n
+    """len(markov.enumerate_states(n, most)): the necklaces of each odd K <= most."""
+    return sum(_necklaces(n, k) for k in range(1, most + 1, 2))
 
 
-def _check_capacity(n: int, most: int, max_ring: int | None, default: int) -> None:
-    """Refuse a solve over `markov.enumerate_states(n, most)` on a ring above the occupancy word or the capacity,
-    or of more than STATE_LIMIT states, which no raised capacity lifts."""
+def _check_capacity(n: int, most: int, lumped: bool) -> None:
+    """Refuse a solve over `markov.enumerate_states(n, most)` on a ring below 3 processes or above the occupancy word, or
+    whose largest block, the necklaces of one K or if `lumped` (reflection classes) its bracelets, has over BLOCK_ROWS rows."""
     check_at_least(n, 3, "ring size")
     check_occupancy_word(n)
-    limit = default if max_ring is None else max_ring
-    count = _state_count(n, most)
-    if n > limit:
-        raise CapacityError(
-            f"ring size {n} exceeds the configured capacity {limit} ({count} states); "
-            "raise the capacity explicitly to run larger instances"
-        )
-    if count > STATE_LIMIT:
-        raise CapacityError(f"ring size {n} has {count} states with at most {most} tokens, above the {STATE_LIMIT}-state limit of a solve")
+    rows, k = max((_necklaces(n, k, mirrored=lumped), k) for k in range(1, most + 1, 2))
+    if rows > BLOCK_ROWS:
+        raise CapacityError(f"ring size {n} has a block of {rows} rows at K={k}, above the {BLOCK_ROWS}-row limit of a solve")
 
 
 def step_occupancy(occ, moving, n: int, out=None):

@@ -43,7 +43,7 @@ def test_exact_k3_formula():
         n = rng.randint(4, 30)
         g = random_gaps(rng, 3, n)
         g0, g1, g2 = g.gaps
-        assert expected_time_exact(g, max_ring=30) == Fraction(4 * g0 * g1 * g2, n)
+        assert expected_time_exact(g) == Fraction(4 * g0 * g1 * g2, n)
         checked += 1
     assert checked == 50
     _announce("exact K=3 formula", "50 random states, N <= 30, exact equality")
@@ -79,8 +79,8 @@ def test_theorem1_sweep():
     [(15, (5, 5, 5), Fraction(100, 3)), (16, (5, 5, 6), Fraction(75, 2))],
 )
 def test_theorem1_beyond_default_capacity(n, argmax, value):
-    """Ring sizes past the default exact capacity, solved with it raised to N."""
-    worst, best = max_expected_time(n, max_ring=n)
+    """Ring sizes past the CLI's default exact capacity, which the library does not apply."""
+    worst, best = max_expected_time(n)
     assert worst.gaps == argmax and best == value
     if n % 3 == 0:
         assert best == theorem1_bound(n)

@@ -385,6 +385,12 @@ def test_exact_float_sweep_over_capacity_is_exit_two(capsys):
     assert "capacity" in err
 
 
+def test_exact_float_config_over_capacity_is_exit_two(capsys):
+    code, out, err = run_cli(capsys, "exact", "--float", "--config", "N=25;gaps=5,5,15")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ring size 25 exceeds the configured capacity 20 (")
+
+
 @pytest.mark.parametrize("float_flags", [(), ("--float", "--exact-capacity-n", "-4")])
 @pytest.mark.parametrize("n", ["-3", "0", "1", "2"])
 def test_exact_sweep_below_three_is_exit_two(n, float_flags, capsys):

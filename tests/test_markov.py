@@ -13,7 +13,6 @@ from herman_lab import lyapunov, markov, ring
 from herman_lab.lyapunov import V, f3, f5
 from herman_lab.markov import (
     BoundCheck,
-    CapacityError,
     delta_moment,
     enumerate_states,
     expected_time_exact,
@@ -286,7 +285,7 @@ def test_the_word_table_is_built_only_for_enough_successor_words(monkeypatch):
     # a few-token query below the table's width limit fills no 2^24-entry table
     with monkeypatch.context() as patch:
         patch.setattr(markov, "_rotl", None)
-        assert expected_time_exact(GapVector(24, (1, 1, 22)), max_ring=24) == Fraction(4 * 22, 24)
+        assert expected_time_exact(GapVector(24, (1, 1, 22))) == Fraction(4 * 22, 24)
 
 
 def test_blocks_are_the_same_when_a_token_count_spans_passes(monkeypatch):
@@ -457,13 +456,6 @@ def test_expected_time_rejects_even_k():
         expected_time_exact(GapVector(6, (3, 3)))
 
 
-def test_capacity_error_and_override():
-    g = GapVector(17, (5, 5, 7))
-    with pytest.raises(CapacityError):
-        expected_time_exact(g)
-    assert expected_time_exact(g, max_ring=17) == closed_form_k3(g)
-
-
 def test_expected_time_rotation_invariant(rng):
     for _ in range(10):
         k = rng.choice((3, 5))
@@ -483,19 +475,14 @@ def test_float_path_agrees_with_exact(rng):
         assert abs(expected_time_float(g) - float(expected_time_exact(g))) <= 1e-9
 
 
-def test_float_capacity_error():
-    with pytest.raises(CapacityError):
-        expected_time_float(GapVector(25, (5, 5, 15)))
-
-
 def test_raised_capacity_stops_at_the_occupancy_word():
     g = GapVector(65, (21, 21, 23))
     with pytest.raises(ValueError, match="occupancy word"):
-        expected_time_exact(g, max_ring=65)
+        expected_time_exact(g)
     with pytest.raises(ValueError, match="occupancy word"):
-        expected_time_float(g, max_ring=65)
+        expected_time_float(g)
     with pytest.raises(ValueError, match="occupancy word"):
-        markov.solve_all_exact(65, max_ring=100)
+        markov.solve_all_exact(65)
 
 
 def test_state_count_is_the_length_of_the_enumeration():
@@ -503,6 +490,14 @@ def test_state_count_is_the_length_of_the_enumeration():
         states = enumerate_states(n)
         for most in range(1, n + 1, 2):
             assert ring._state_count(n, most) == sum(len(s) <= most for s in states), (n, most)
+        if n > 16:
+            continue
+        # each K's block: its necklaces on the float path, its reflection classes (bracelets) on the exact one
+        classes = markov._mirror_classes(n, markov._state_keys(n, states))
+        for k, members in groupby(range(len(states)), lambda i: len(states[i])):
+            members = list(members)
+            assert ring._necklaces(n, k) == len(members), (n, k)
+            assert ring._necklaces(n, k, mirrored=True) == len(set(classes[members].tolist())), (n, k)
     assert ring._state_count(64, 3) == len(enumerate_states(64, 3)) == 652
 
 
@@ -940,7 +935,7 @@ def test_a_solve_keeps_nothing_between_calls(monkeypatch):
     assert markov.solve_all_exact(11) == expected
     assert set(stepped) == every_k
     stepped.clear()
-    assert markov.expected_time_exact(GapVector(11, (1, 1, 9)), max_ring=11) == expected[(1, 1, 9)]
+    assert markov.expected_time_exact(GapVector(11, (1, 1, 9))) == expected[(1, 1, 9)]
     assert set(stepped) == {3}
 
 

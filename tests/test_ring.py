@@ -17,6 +17,7 @@ from herman_lab.ring import (
     apply_step,
     bit_step,
     _check_capacity,
+    _state_count,
     bracelet_key,
     bits_from_config,
     canonical_rotation,
@@ -437,6 +438,10 @@ def seed(value):
     return f"seed must lie in 0..2^64-1, got {value}"
 
 
+def block(n, rows, k):
+    return f"ring size {n} has a block of {rows} rows at K={k}, above the 10000-row limit of a solve"
+
+
 WORD_65 = "ring size 65 exceeds the 64-process occupancy word"
 RING_65 = GapVector(65, (21, 21, 23))
 EVEN = Configuration(5, (1, 3))
@@ -448,9 +453,10 @@ LIBRARY_REFUSALS = [
     (lambda: montecarlo.simulate_once(EVEN, CoinStream.from_seed(0, 0)), odd_k(1, 2)),
     (lambda: montecarlo.run_steps(EVEN, 10, 0), odd_k(1, 2)),
     (lambda: montecarlo.run_steps(Configuration(65, (1, 2, 3)), 10, 0), WORD_65),
-    (lambda: markov.expected_time_exact(RING_65, max_ring=65), WORD_65),
-    (lambda: markov.expected_time_float(RING_65, max_ring=65), WORD_65),
-    (lambda: markov.solve_all_exact(65, max_ring=100), WORD_65),
+    (lambda: markov.expected_time_exact(RING_65), WORD_65),
+    (lambda: markov.expected_time_float(RING_65), WORD_65),
+    (lambda: markov.solve_all_exact(65), WORD_65),
+    (lambda: markov.enumerate_states(65, 1), WORD_65),
     (lambda: markov.successor_distribution(RING_65), WORD_65),
     (lambda: markov.expected_time_exact(GapVector(6, (3, 3))), odd_k(1, 2)),
     (lambda: markov.expected_time_exact(GapVector(6, ())), odd_k(1, 0)),
@@ -496,6 +502,13 @@ LIBRARY_REFUSALS = [
     (lambda: montecarlo.coupled_equivalence(5, 3, -1), seed(-1)),
 ]
 
+# every solve's refusal of a block too big to hold, a CapacityError rather than an input rule's ValueError
+BLOCK_REFUSALS = [
+    (lambda: markov.solve_all_exact(22), block(22, 16159, 11)),
+    (lambda: markov.solve_all_float(21), block(21, 16796, 11)),
+    (lambda: markov.expected_time_exact(GapVector(64, (12, 13, 13, 13, 13))), block(64, 59799, 5)),
+]
+
 CLI_REFUSALS = [
     (("simulate", "--config", "N=8;gaps=4,4"), odd_k(1, 2)),
     (("simulate", "--config", "N=65;gaps=21,21,23", "--runs", "10"), WORD_65),
@@ -503,6 +516,9 @@ CLI_REFUSALS = [
     (("exact", "--config", "N=65;gaps=21,21,23"), WORD_65),
     (("exact", "--config", "N=65;gaps=21,21,23", "--float", "--exact-capacity-n", "65", "--float-capacity-n", "65"), WORD_65),
     (("exact", "--sweep", "65", "--exact-capacity-n", "65"), WORD_65),
+    (("exact", "--sweep", "22", "--exact-capacity-n", "22"), block(22, 16159, 11)),
+    (("exact", "--float", "--sweep", "21", "--float-capacity-n", "21"), block(21, 16796, 11)),
+    (("exact", "--config", "N=64;gaps=12,13,13,13,13", "--exact-capacity-n", "64"), block(64, 59799, 5)),
     (("verify", "drift", "--n", "65"), WORD_65),
     (("verify", "coupling", "--n", "65"), WORD_65),
     (("verify", "all", "--n", "65"), WORD_65),
@@ -524,7 +540,15 @@ CLI_REFUSALS = [
 def test_every_entry_point_refuses_outside_the_envelope_with_its_rules_message(call, message):
     with pytest.raises(ValueError) as info:
         call()
-    assert str(info.value) == message
+    assert (type(info.value), str(info.value)) == (ValueError, message)
+
+
+@pytest.mark.parametrize("call, message", BLOCK_REFUSALS)
+def test_every_solve_refuses_a_block_too_big_to_hold_before_it_enumerates(call, message, monkeypatch):
+    monkeypatch.setattr(np, "zeros", None)  # refused before the first word is built
+    with pytest.raises(CapacityError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (CapacityError, message)
 
 
 @pytest.mark.parametrize("argv, message", CLI_REFUSALS)
@@ -534,9 +558,15 @@ def test_every_command_refuses_outside_the_envelope_with_one_error_line(argv, me
     assert (out, err) == ("", f"error: {message}\n")
 
 
-def test_the_state_limit_admits_the_largest_lists_reported_and_refuses_past_them():
-    for n, most in ((24, 24), (25, 25), (40, 7), (64, 5)):
-        _check_capacity(n, most, n, 0)  # 349 536, 671 092, 482 788 and 119 785 states
+def test_the_state_limit_admits_the_largest_lists_reported_and_refuses_past_them(monkeypatch):
+    for n, most in ((24, 24), (25, 25), (40, 7), (64, 5)):  # 349 536, 671 092, 482 788 and 119 785 states
+        assert _state_count(n, most) <= STATE_LIMIT
+    monkeypatch.setattr(np, "zeros", None)  # refused before the first word is built
     for n, most in ((26, 26), (30, 30), (64, 7)):
-        with pytest.raises(CapacityError, match=f"above the {STATE_LIMIT}-state limit"):
-            _check_capacity(n, most, 64, 0)
+        with pytest.raises(CapacityError, match=f"above the {STATE_LIMIT}-state limit of a list"):
+            markov.enumerate_states(n, most)
+
+
+def test_the_block_rule_admits_every_sweep_that_runs():
+    for n, most, lumped in ((21, 21, True), (20, 20, False), (64, 3, True)):  # 8 524, 8 398 and 341 rows
+        _check_capacity(n, most, lumped)
