@@ -16,7 +16,7 @@ import importlib
 
 _EXPORTS = {  # module: the names it exports here
     "lyapunov": "ALPHA V V3 V5 f f3 f5",
-    "markov": "TransitionLaw delta_moment expected_time_exact expected_time_float lyapunov_bound_check "
+    "markov": "TransitionLaw delta_moment expected_time_exact lyapunov_bound_check "
     "max_expected_time successor_distribution theorem1_bound verify_drift_V verify_drift_V3 verify_drift_V5 "
     "verify_prop17",
     "montecarlo": "SimStats coupled_equivalence estimate simulate_once",

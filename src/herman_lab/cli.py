@@ -69,14 +69,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _takes_exact(n: int, most: int, args: argparse.Namespace) -> bool:
-    """Whether `exact` solves over `enumerate_states(n, most)` exactly: the one place the capacities are compared."""
+    """Whether `exact` solves over `enumerate_states(n, most)` exactly, up to `--exact-capacity-n`; past it only a `--float` sweep runs."""
     check_at_least(n, 3, "ring size")
     check_occupancy_word(n)
     exact = n <= args.exact_capacity_n
-    limit = args.float_capacity_n if args.use_float else args.exact_capacity_n
-    if not exact and n > limit:
-        raise CapacityError(f"ring size {n} exceeds the configured capacity {limit} ({_state_count(n, most)} states); "
-                            "raise the capacity explicitly to run larger instances")
+    if not exact and not args.use_float:
+        raise CapacityError(f"ring size {n} exceeds the configured capacity {args.exact_capacity_n} ({_state_count(n, most)} "
+                            "states); raise the capacity explicitly to run larger instances")
     _check_capacity(n, most, lumped=exact)
     return exact
 
@@ -85,6 +84,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
     if (args.config is None) == (args.sweep is None):
         raise ValueError("provide exactly one of --config or --sweep")
     if args.config is not None:
+        if args.use_float:
+            raise ValueError("--float applies to --sweep only; a single query is solved exactly")
         g = parse_gap_vector(args.config)
         check_odd_k(g.token_count, 1)
         n, most = g.ring_size, g.token_count
@@ -93,7 +94,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
     exact = _takes_exact(n, most, args)
     from . import markov
     if args.config is not None:
-        query, solve = g, markov.expected_time_exact if exact else markov.expected_time_float
+        query, solve = g, markov.expected_time_exact
     else:
         query, solve = n, markov.solve_all_exact if exact else markov.solve_all_float
     try:
@@ -101,7 +102,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
     except MemoryError:
         raise ValueError(f"the solve over ring size {n} needs more memory than can be allocated") from None
     if args.config is not None:
-        print(_frac_str(result) if exact else repr(result))
+        print(_frac_str(result))
         return 0
     bound = markov.theorem1_bound(n)
     if exact:
@@ -291,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = {
         "--seed": {"type": int, "default": 0},
         "--exact-capacity-n": {"type": int, "default": 14},
-        "--float-capacity-n": {"type": int, "default": 20},
         "--output-format": {"choices": OUTPUT_FORMATS, "default": "json"},
     }
 
@@ -308,10 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_exact = sub.add_parser("exact", help="exact rational expected stabilization time")
-    common(p_exact, "--exact-capacity-n", "--float-capacity-n")
+    common(p_exact, "--exact-capacity-n")
     p_exact.add_argument("--config", help="state literal")
     p_exact.add_argument("--sweep", type=int, help="sweep every canonical odd-K state of this ring size")
-    p_exact.add_argument("--float", dest="use_float", action="store_true", help="allow the float path beyond the exact capacity")
+    p_exact.add_argument("--float", dest="use_float", action="store_true", help="sweep past --exact-capacity-n on the float path")
     p_exact.set_defaults(func=cmd_exact)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -340,7 +340,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe shows here rather than at exit
         return code
-    except (ValueError, CapacityError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StepLimitError as exc:

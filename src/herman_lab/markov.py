@@ -449,13 +449,6 @@ def _solve_states_float(n: int, states: list[tuple[int, ...]]) -> dict[tuple[int
     return dict(zip(states, values.tolist()))
 
 
-def expected_time_float(g: GapVector) -> float:
-    """Floating-point E[T] with a residual check on every solved block."""
-    check_odd_k(g.token_count, 1)
-    _check_capacity(g.ring_size, g.token_count, lumped=False)
-    return _solve_states_float(g.ring_size, enumerate_states(g.ring_size, g.token_count))[least_rotation(g.gaps)]
-
-
 def solve_all_float(n: int) -> dict[tuple[int, ...], float]:
     """Float E[T] for every canonical odd-K state, one pass over the space."""
     _check_capacity(n, n, lumped=False)

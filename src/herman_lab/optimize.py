@@ -212,21 +212,6 @@ def kkt_report(
     )
 
 
-def is_candidate_maximum(report: CriticalPointReport) -> bool:
-    """Whether a converged interior point also passes the second-order test.
-
-    The first/second-order conditions and the drop-terms margin are only
-    guaranteed at interior local maxima; an interior critical point failing
-    the pair-sum bound (the uniform point for K >= 7 does) is recorded but
-    not held to them.
-    """
-    return (
-        report.interior
-        and report.converged
-        and max(report.second_order) <= 1.0 / lyapunov.ALPHA + 10 * TOL_GRAD
-    )
-
-
 def _lemma14_margins(x, c_values) -> list[float]:
     """Full-minus-truncated critical expression times x_0 x_{i1}, at every shift and odd i1.
 

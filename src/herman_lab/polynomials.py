@@ -156,12 +156,6 @@ class SparsePolynomial:
         return " + ".join(parts)
 
 
-def rotate(p: SparsePolynomial, k: int) -> SparsePolynomial:
-    if not 0 <= k < p.num_vars:
-        raise ValueError("rotation amount must satisfy 0 <= k < num_vars")
-    return p.rotate(k)
-
-
 def sum_rotations(p: SparsePolynomial) -> SparsePolynomial:
     rotations = (pair for k in range(p.num_vars) for pair in p.rotate(k).terms.items())
     return p._with_terms(_accumulate({}, rotations))

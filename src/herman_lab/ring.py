@@ -41,8 +41,8 @@ BLOCK_ROWS = 10_000  # rows of a solve's largest dense block: about 3.5 GiB at t
 MoveMask = Sequence[bool]
 
 
-class CapacityError(RuntimeError):
-    """Raised for a state list over STATE_LIMIT, a solve block over BLOCK_ROWS, or a ring over the CLI's capacity."""
+class CapacityError(ValueError):
+    """A state list over STATE_LIMIT, a solve block over BLOCK_ROWS, or a ring over the CLI's capacity: a run's limit."""
 
 
 class StepLimitError(RuntimeError):
@@ -393,9 +393,7 @@ def _parse_literal(text: str) -> tuple[int, str, tuple[int, ...]]:
     if eq != "=" or kind not in ("tokens", "gaps"):
         raise ValueError(f"bad state literal {text!r}: second field must be tokens=... or gaps=...")
     try:
-        values = tuple(int(tok) for tok in payload.split(",") if tok != "")
+        values = tuple(int(tok) for tok in payload.split(","))
     except ValueError:
         raise ValueError(f"bad integer list in {text!r}") from None
-    if not values:
-        raise ValueError(f"empty {kind} list in {text!r}")
     return n, kind, values

@@ -111,9 +111,10 @@ def test_exact_capacity_override_flag(capsys):
 
 
 def test_exact_float_fallback(capsys):
-    code, out, _ = run_cli(capsys, "exact", "--config", "N=15;gaps=4,5,6", "--float")
+    code, out, _ = run_cli(capsys, "exact", "--sweep", "15", "--float")  # past the default exact capacity of 14
     assert code == 0
-    assert abs(float(out.strip()) - 4 * 4 * 5 * 6 / 15) <= 1e-9
+    row = next(line for line in out.splitlines() if line.startswith("15,3,4|5|6,"))
+    assert abs(float(row.split(",")[3]) - 4 * 4 * 5 * 6 / 15) <= 1e-9
 
 
 def test_simulate_deterministic(capsys):
@@ -371,8 +372,8 @@ def test_exact_rejects_raised_capacity_beyond_occupancy_word(capsys):
 
 
 def test_exact_float_rejects_raised_capacity_beyond_occupancy_word(capsys):
-    for mode in (("--config", "N=65;gaps=21,21,23"), ("--sweep", "65", "--exact-capacity-n", "65")):
-        code, out, err = run_cli(capsys, "exact", *mode, "--float", "--float-capacity-n", "65")
+    for raised in ((), ("--exact-capacity-n", "65")):
+        code, out, err = run_cli(capsys, "exact", "--sweep", "65", "--float", *raised)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "occupancy word" in err
@@ -382,13 +383,7 @@ def test_exact_float_sweep_over_capacity_is_exit_two(capsys):
     code, out, err = run_cli(capsys, "exact", "--sweep", "21", "--float")
     assert code == 2
     assert out == ""
-    assert "capacity" in err
-
-
-def test_exact_float_config_over_capacity_is_exit_two(capsys):
-    code, out, err = run_cli(capsys, "exact", "--float", "--config", "N=25;gaps=5,5,15")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ring size 25 exceeds the configured capacity 20 (")
+    assert err == "error: ring size 21 has a block of 16796 rows at K=11, above the 10000-row limit of a solve\n"
 
 
 @pytest.mark.parametrize("float_flags", [(), ("--float", "--exact-capacity-n", "-4")])
@@ -510,7 +505,6 @@ SHARED_FLAGS = {
     "--config-file": ("run.cfg", ()),
     "--seed": ("1", ("simulate", "verify", "optimize")),
     "--exact-capacity-n": ("9", ("exact",)),
-    "--float-capacity-n": ("9", ("exact",)),
     "--output-format": ("json", ("simulate", "optimize")),
     "--threads": ("2", ()),
 }

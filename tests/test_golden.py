@@ -42,8 +42,10 @@ count in place of a search for the states its seed reaches: `exact
 --config "N=64;gaps=21,21,22" --exact-capacity-n 64`, the paper's worst
 case of three equally spaced tokens on the largest ring the occupancy
 word holds; and `exact --float --config "N=16;gaps=1,2,3,4,6"`, whose
-float bits depend on the row order of the query's state list, so it pins
-that order for five tokens.  Each runs in about 0.2 s.  `simulate
+float bits pinned the row order of the query's state list for five
+tokens.  That float query left the corpus when `--float` came to apply
+to sweeps only, a single query being solved exactly; the float sweeps
+still pin the float rows' order.  Each runs in about 0.2 s.  `simulate
 --config "N=63;gaps=21,21,21" --runs 70000 --seed 42` was recorded
 before the simulator came to step each batch in blocks of steps, with
 its coins drawn straight from the stream keys and one absorption check

@@ -12,7 +12,7 @@ import herman_lab
 
 # every name `herman_lab` exported when it still imported all its modules eagerly
 EXPORTS = (
-    "ALPHA V V3 V5 f f3 f5 CapacityError TransitionLaw delta_moment expected_time_exact expected_time_float "
+    "ALPHA V V3 V5 f f3 f5 CapacityError TransitionLaw delta_moment expected_time_exact "
     "lyapunov_bound_check max_expected_time successor_distribution theorem1_bound verify_drift_V verify_drift_V3 "
     "verify_drift_V5 verify_prop17 SimStats coupled_equivalence estimate simulate_once OptimizerConfig "
     "interior_max_scan kkt_report maximize SparsePolynomial build_f build_f3 build_f5 BitRing Configuration "
@@ -92,11 +92,12 @@ def test_import_cli_loads_no_numpy():
         pytest.param(2, ("exact", "--config", "N=8;gaps=4,4"), id="exact-even-k"),
         pytest.param(2, ("exact", "--sweep", "7", "--seed", "1"), id="exact-unread-flag"),
         pytest.param(2, ("exact", "--sweep", "30"), id="exact-sweep-capacity"),
-        pytest.param(2, ("exact", "--float", "--sweep", "30", "--float-capacity-n", "40"), id="exact-sweep-block-limit"),
+        pytest.param(2, ("exact", "--float", "--sweep", "30"), id="exact-sweep-block-limit"),
         pytest.param(2, ("exact", "--sweep", "22", "--exact-capacity-n", "22"), id="exact-sweep-22-block-limit"),
-        pytest.param(2, ("exact", "--float", "--sweep", "21", "--float-capacity-n", "21"), id="float-sweep-21-block-limit"),
+        pytest.param(2, ("exact", "--float", "--sweep", "21"), id="float-sweep-21-block-limit"),
         pytest.param(2, ("exact", "--config", "N=64;gaps=12,13,13,13,13", "--exact-capacity-n", "64"), id="exact-config-block-limit"),
         pytest.param(2, ("exact", "--config", "N=99;gaps=33,33,33"), id="exact-ring-size"),
+        pytest.param(2, ("exact", "--float", "--config", "N=9;gaps=3,3,3"), id="exact-float-config"),
         pytest.param(2, ("optimize", "--target", "f", "--k", "65"), id="optimize-k-cap"),
         pytest.param(2, ("verify", "identities", "--max-k", "65"), id="verify-max-k-cap"),
         pytest.param(2, ("verify", "drift", "--n", "65"), id="verify-ring-size"),

@@ -16,7 +16,6 @@ from herman_lab.markov import (
     delta_moment,
     enumerate_states,
     expected_time_exact,
-    expected_time_float,
     lyapunov_bound_check,
     max_expected_time,
     moment_formula,
@@ -467,20 +466,10 @@ def test_expected_time_rotation_invariant(rng):
         assert len(times) == 1
 
 
-def test_float_path_agrees_with_exact(rng):
-    for _ in range(10):
-        k = rng.choice((3, 5))
-        n = rng.randint(k + 1, 11)
-        g = random_gaps(rng, k, n)
-        assert abs(expected_time_float(g) - float(expected_time_exact(g))) <= 1e-9
-
-
 def test_raised_capacity_stops_at_the_occupancy_word():
     g = GapVector(65, (21, 21, 23))
     with pytest.raises(ValueError, match="occupancy word"):
         expected_time_exact(g)
-    with pytest.raises(ValueError, match="occupancy word"):
-        expected_time_float(g)
     with pytest.raises(ValueError, match="occupancy word"):
         markov.solve_all_exact(65)
 

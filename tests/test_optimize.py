@@ -151,7 +151,7 @@ def test_kkt_report_serializes():
 def test_lemma14_margin_nonnegative_at_uniform_k5():
     # uniform K=5 passes the second-order test, so the margin must hold
     report = dataclasses.replace(kkt_report((0.2,) * 5), converged=True)
-    assert opt.is_candidate_maximum(report)
+    assert report.interior and report.converged and max(report.second_order) <= 1 / lyapunov.ALPHA + 10 * opt.TOL_GRAD
     assert report.lemma14_margin >= -1e-12
 
 
@@ -161,7 +161,7 @@ def test_uniform_k7_violations_are_recorded_not_asserted():
     report = dataclasses.replace(kkt_report((1 / 7,) * 7), converged=True)
     assert report.interior
     assert max(report.second_order) > 1 / 24
-    assert not opt.is_candidate_maximum(report)
+    assert not (report.interior and report.converged and max(report.second_order) <= 1 / lyapunov.ALPHA + 10 * opt.TOL_GRAD)
     assert report.lemma14_margin < 0  # recorded violation, no assertion raised
 
 
@@ -174,7 +174,7 @@ def test_interior_scan_finds_nothing_above_one_27(k):
     for report in reports:
         assert report.interior and report.converged
         assert report.value <= 1 / 27 + 1e-9
-        if opt.is_candidate_maximum(report):
+        if report.interior and report.converged and max(report.second_order) <= 1 / lyapunov.ALPHA + 10 * opt.TOL_GRAD:
             # conditions guaranteed at maxima hold within the documented slack
             spread = max(report.c_values) - min(report.c_values)
             assert spread <= 10 * 1e-7

@@ -17,7 +17,6 @@ from herman_lab.polynomials import (
     check_corollary_sums,
     check_fancy_sum,
     check_rotation_sum_identity,
-    rotate,
     sum_rotations,
 )
 
@@ -92,7 +91,7 @@ def test_evaluation_matches_numeric_backend(rng):
 
 def test_rotate_identity_and_inverse():
     p = build_f(7)
-    assert rotate(p, 0) == p
+    assert p.rotate(0) == p
     assert p.rotate(3).rotate(4) == p
 
 
@@ -100,7 +99,7 @@ def test_rotate_preserves_f3():
     for k in (5, 7, 9):
         p = build_f3(k)
         for shift in range(k):
-            assert rotate(p, shift) == p
+            assert p.rotate(shift) == p
 
 
 def test_rotate_is_coefficient_preserving_bijection(rng):

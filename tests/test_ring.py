@@ -303,7 +303,10 @@ def test_parse_literals():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "N=7", "gaps=1,2;N=7", "N=x;gaps=1,2", "N=7;gaps=", "N=7;stuff=1,2", "N=7;gaps=1,a"],
+    [
+        "", "N=7", "gaps=1,2;N=7", "N=x;gaps=1,2", "N=7;gaps=", "N=7;stuff=1,2", "N=7;gaps=1,a",
+        "N=9;gaps=3,,3,3", "N=9;gaps=3,3,3,", "N=9;gaps=,3,3,3", "N=9;tokens=1,,4,7",  # an empty field is no value
+    ],
 )
 def test_parse_literal_errors(bad):
     with pytest.raises(ValueError):
@@ -454,13 +457,11 @@ LIBRARY_REFUSALS = [
     (lambda: montecarlo.run_steps(EVEN, 10, 0), odd_k(1, 2)),
     (lambda: montecarlo.run_steps(Configuration(65, (1, 2, 3)), 10, 0), WORD_65),
     (lambda: markov.expected_time_exact(RING_65), WORD_65),
-    (lambda: markov.expected_time_float(RING_65), WORD_65),
     (lambda: markov.solve_all_exact(65), WORD_65),
     (lambda: markov.enumerate_states(65, 1), WORD_65),
     (lambda: markov.successor_distribution(RING_65), WORD_65),
     (lambda: markov.expected_time_exact(GapVector(6, (3, 3))), odd_k(1, 2)),
     (lambda: markov.expected_time_exact(GapVector(6, ())), odd_k(1, 0)),
-    (lambda: markov.expected_time_float(GapVector(6, (3, 3))), odd_k(1, 2)),
     (lambda: markov.verify_drift_V3(GapVector(5, (5,))), odd_k(3, 1)),
     (lambda: markov.verify_drift_V5(GapVector(5, (1, 1, 3))), odd_k(5, 3)),
     (lambda: markov.verify_drift_V(GapVector(6, (3, 3))), odd_k(3, 2)),
@@ -502,7 +503,7 @@ LIBRARY_REFUSALS = [
     (lambda: montecarlo.coupled_equivalence(5, 3, -1), seed(-1)),
 ]
 
-# every solve's refusal of a block too big to hold, a CapacityError rather than an input rule's ValueError
+# every solve's refusal of a block too big to hold: a CapacityError, the ValueError of a limit rather than of an input rule
 BLOCK_REFUSALS = [
     (lambda: markov.solve_all_exact(22), block(22, 16159, 11)),
     (lambda: markov.solve_all_float(21), block(21, 16796, 11)),
@@ -514,10 +515,10 @@ CLI_REFUSALS = [
     (("simulate", "--config", "N=65;gaps=21,21,23", "--runs", "10"), WORD_65),
     (("exact", "--config", "N=8;gaps=4,4"), odd_k(1, 2)),
     (("exact", "--config", "N=65;gaps=21,21,23"), WORD_65),
-    (("exact", "--config", "N=65;gaps=21,21,23", "--float", "--exact-capacity-n", "65", "--float-capacity-n", "65"), WORD_65),
+    (("exact", "--float", "--config", "N=9;gaps=3,3,3"), "--float applies to --sweep only; a single query is solved exactly"),
     (("exact", "--sweep", "65", "--exact-capacity-n", "65"), WORD_65),
     (("exact", "--sweep", "22", "--exact-capacity-n", "22"), block(22, 16159, 11)),
-    (("exact", "--float", "--sweep", "21", "--float-capacity-n", "21"), block(21, 16796, 11)),
+    (("exact", "--float", "--sweep", "21"), block(21, 16796, 11)),
     (("exact", "--config", "N=64;gaps=12,13,13,13,13", "--exact-capacity-n", "64"), block(64, 59799, 5)),
     (("verify", "drift", "--n", "65"), WORD_65),
     (("verify", "coupling", "--n", "65"), WORD_65),
@@ -533,6 +534,8 @@ CLI_REFUSALS = [
     (("simulate", "--config", "N=9;gaps=3,3,3", "--runs", "0"), at_least("--runs", 1, 0)),
     (("optimize", "--target", "f", "--k", "5", "--starts", "0"), at_least("starts", 1, 0)),
     (("optimize", "--target", "f", "--k", "5", "--max-iters", "0"), at_least("max_iters", 1, 0)),
+    (("exact", "--float", "--sweep", "30"), block(30, 5170604, 15)),
+    (("exact", "--config", "N=9;gaps=3,,3,3"), "bad integer list in 'N=9;gaps=3,,3,3'"),
 ]
 
 
@@ -556,6 +559,13 @@ def test_every_command_refuses_outside_the_envelope_with_one_error_line(argv, me
     assert cli.main(list(argv)) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message}\n")
+
+
+def test_a_capacity_refusal_is_a_value_error(monkeypatch):
+    monkeypatch.setattr(np, "zeros", None)  # refused before the first word is built
+    for call in (lambda: markov.solve_all_exact(22), lambda: markov.enumerate_states(26)):
+        with pytest.raises(ValueError, match="above the"):
+            call()
 
 
 def test_the_state_limit_admits_the_largest_lists_reported_and_refuses_past_them(monkeypatch):
