@@ -386,6 +386,13 @@ def test_exact_float_sweep_over_capacity_is_exit_two(capsys):
     assert err == "error: ring size 21 has a block of 16796 rows at K=11, above the 10000-row limit of a solve\n"
 
 
+def test_exact_float_config_over_capacity_is_exit_two(capsys):
+    # a float single query is refused before its ring is read, whatever its size
+    code, out, err = run_cli(capsys, "exact", "--float", "--config", "N=25;gaps=5,5,15")
+    assert (code, out) == (2, "")
+    assert err == "error: --float applies to --sweep only; a single query is solved exactly\n"
+
+
 @pytest.mark.parametrize("float_flags", [(), ("--float", "--exact-capacity-n", "-4")])
 @pytest.mark.parametrize("n", ["-3", "0", "1", "2"])
 def test_exact_sweep_below_three_is_exit_two(n, float_flags, capsys):
@@ -500,11 +507,12 @@ SHARED_FLAG_COMMANDS = {
     "verify": ("verify", "moments", "--max-k", "5"),
     "optimize": ("optimize", "--target", "f3", "--k", "3", "--starts", "1"),
 }
-# flag -> (a value, the subcommands that read it); no subcommand reads --config-file or --threads
+# flag -> (a value, the subcommands that read it); no subcommand reads --config-file, --float-capacity-n or --threads
 SHARED_FLAGS = {
     "--config-file": ("run.cfg", ()),
     "--seed": ("1", ("simulate", "verify", "optimize")),
     "--exact-capacity-n": ("9", ("exact",)),
+    "--float-capacity-n": ("9", ()),
     "--output-format": ("json", ("simulate", "optimize")),
     "--threads": ("2", ()),
 }

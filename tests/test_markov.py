@@ -466,6 +466,15 @@ def test_expected_time_rotation_invariant(rng):
         assert len(times) == 1
 
 
+def test_float_path_agrees_with_exact(rng):
+    # the float sweep's row for a state against that state's exact query
+    for _ in range(10):
+        k = rng.choice((3, 5))
+        n = rng.randint(k + 1, 11)
+        g = random_gaps(rng, k, n)
+        assert abs(markov.solve_all_float(n)[least_rotation(g.gaps)] - float(expected_time_exact(g))) <= 1e-9
+
+
 def test_raised_capacity_stops_at_the_occupancy_word():
     g = GapVector(65, (21, 21, 23))
     with pytest.raises(ValueError, match="occupancy word"):

@@ -458,6 +458,7 @@ LIBRARY_REFUSALS = [
     (lambda: montecarlo.run_steps(Configuration(65, (1, 2, 3)), 10, 0), WORD_65),
     (lambda: markov.expected_time_exact(RING_65), WORD_65),
     (lambda: markov.solve_all_exact(65), WORD_65),
+    (lambda: markov.solve_all_float(65), WORD_65),
     (lambda: markov.enumerate_states(65, 1), WORD_65),
     (lambda: markov.successor_distribution(RING_65), WORD_65),
     (lambda: markov.expected_time_exact(GapVector(6, (3, 3))), odd_k(1, 2)),
@@ -469,6 +470,7 @@ LIBRARY_REFUSALS = [
     (lambda: lyapunov.check_simplex((Fraction(1, 2), Fraction(1, 2))), odd_k(3, 2)),
     (lambda: lyapunov.check_simplex((Fraction(1),)), odd_k(3, 1)),
     (lambda: lyapunov.V3(GapVector(6, (3, 3))), odd_k(1, 2)),
+    (lambda: lyapunov.V5(GapVector(6, (3, 3))), odd_k(1, 2)),
     (lambda: lyapunov.V(GapVector(6, ())), odd_k(1, 0)),
     (lambda: lyapunov.derivative_terms((Fraction(1, 6),) * 6), odd_k(5, 6)),
     (lambda: bits_from_config(EVEN), odd_k(1, 2)),
@@ -515,7 +517,7 @@ CLI_REFUSALS = [
     (("simulate", "--config", "N=65;gaps=21,21,23", "--runs", "10"), WORD_65),
     (("exact", "--config", "N=8;gaps=4,4"), odd_k(1, 2)),
     (("exact", "--config", "N=65;gaps=21,21,23"), WORD_65),
-    (("exact", "--float", "--config", "N=9;gaps=3,3,3"), "--float applies to --sweep only; a single query is solved exactly"),
+    (("exact", "--float", "--sweep", "65"), WORD_65),
     (("exact", "--sweep", "65", "--exact-capacity-n", "65"), WORD_65),
     (("exact", "--sweep", "22", "--exact-capacity-n", "22"), block(22, 16159, 11)),
     (("exact", "--float", "--sweep", "21"), block(21, 16796, 11)),
@@ -536,6 +538,7 @@ CLI_REFUSALS = [
     (("optimize", "--target", "f", "--k", "5", "--max-iters", "0"), at_least("max_iters", 1, 0)),
     (("exact", "--float", "--sweep", "30"), block(30, 5170604, 15)),
     (("exact", "--config", "N=9;gaps=3,,3,3"), "bad integer list in 'N=9;gaps=3,,3,3'"),
+    (("exact", "--float", "--config", "N=9;gaps=3,3,3"), "--float applies to --sweep only; a single query is solved exactly"),
 ]
 
 
