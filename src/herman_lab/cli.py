@@ -68,35 +68,33 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _takes_exact(n: int, most: int, args: argparse.Namespace) -> bool:
-    """Whether `exact` solves over `enumerate_states(n, most)` exactly, up to `--exact-capacity-n`; past it only a `--float` sweep runs."""
-    check_at_least(n, 3, "ring size")
-    check_occupancy_word(n)
-    exact = n <= args.exact_capacity_n
-    if not exact and not args.use_float:
-        raise CapacityError(f"ring size {n} exceeds the configured capacity {args.exact_capacity_n} ({_state_count(n, most)} "
-                            "states); raise the capacity explicitly to run larger instances")
-    _check_capacity(n, most, lumped=exact)
-    return exact
-
-
 def cmd_exact(args: argparse.Namespace) -> int:
     if (args.config is None) == (args.sweep is None):
         raise ValueError("provide exactly one of --config or --sweep")
+    capacity = args.exact_capacity_n  # the ring-size cap of an exact sweep, None unless given
     if args.config is not None:
         if args.use_float:
             raise ValueError("--float applies to --sweep only; a single query is solved exactly")
-        g = parse_gap_vector(args.config)
-        check_odd_k(g.token_count, 1)
-        n, most = g.ring_size, g.token_count
+        if capacity is not None:
+            raise ValueError("--exact-capacity-n applies to --sweep only; a single query is bounded by the block limit")
+        query = parse_gap_vector(args.config)
+        check_odd_k(query.token_count, 1)
+        n, most = query.ring_size, query.token_count
     else:
-        n = most = args.sweep
-    exact = _takes_exact(n, most, args)
+        query = n = most = args.sweep
+        if not args.use_float:  # ring size, word, capacity, then the block rule below
+            capacity = 14 if capacity is None else capacity
+            check_at_least(n, 3, "ring size")
+            check_occupancy_word(n)
+            if n > capacity:
+                raise CapacityError(f"ring size {n} exceeds the configured capacity {capacity} ({_state_count(n, most)} "
+                                    "states); raise the capacity explicitly to run larger instances")
+    _check_capacity(n, most, lumped=not args.use_float)
     from . import markov
     if args.config is not None:
-        query, solve = g, markov.expected_time_exact
+        solve = markov.expected_time_exact
     else:
-        query, solve = n, markov.solve_all_exact if exact else markov.solve_all_float
+        solve = markov.solve_all_float if args.use_float else markov.solve_all_exact
     try:
         result = solve(query)
     except MemoryError:
@@ -105,13 +103,13 @@ def cmd_exact(args: argparse.Namespace) -> int:
         print(_frac_str(result))
         return 0
     bound = markov.theorem1_bound(n)
-    if exact:
+    if args.use_float:
+        ok, argmax, most = _print_sweep(n, result, float(bound), float(bound) + 1e-9, repr)
+        fields = {"max": most, "argmax_gaps": list(argmax)}
+    else:
         ok, argmax, most = _print_sweep(n, result, bound, bound, _frac_str)
         fields = {"max_num": most.numerator, "max_den": most.denominator, "argmax_gaps": list(argmax),
                   "bound_num": bound.numerator, "bound_den": bound.denominator}
-    else:
-        ok, argmax, most = _print_sweep(n, result, float(bound), float(bound) + 1e-9, repr)
-        fields = {"max": most, "argmax_gaps": list(argmax)}
     print(json.dumps({"verdict": "PASS" if ok else "FAIL", "N": n, **fields}))
     return 0 if ok else 1
 
@@ -291,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     shared = {
         "--seed": {"type": int, "default": 0},
-        "--exact-capacity-n": {"type": int, "default": 14},
         "--output-format": {"choices": OUTPUT_FORMATS, "default": "json"},
     }
 
@@ -308,10 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_exact = sub.add_parser("exact", help="exact rational expected stabilization time")
-    common(p_exact, "--exact-capacity-n")
     p_exact.add_argument("--config", help="state literal")
     p_exact.add_argument("--sweep", type=int, help="sweep every canonical odd-K state of this ring size")
-    p_exact.add_argument("--float", dest="use_float", action="store_true", help="sweep past --exact-capacity-n on the float path")
+    p_exact.add_argument("--float", dest="use_float", action="store_true", help="solve the sweep on the float path, at any ring size")
+    p_exact.add_argument("--exact-capacity-n", type=int, help="largest ring an exact sweep solves (default 14); not for --config")
     p_exact.set_defaults(func=cmd_exact)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

@@ -42,7 +42,7 @@ MoveMask = Sequence[bool]
 
 
 class CapacityError(ValueError):
-    """A state list over STATE_LIMIT, a solve block over BLOCK_ROWS, or a ring over the CLI's capacity: a run's limit."""
+    """A state list over STATE_LIMIT, a solve block over BLOCK_ROWS, or an exact sweep over the CLI's capacity: a run's limit."""
 
 
 class StepLimitError(RuntimeError):

@@ -57,7 +57,7 @@ def test_exact_sweep_passes(capsys):
 def test_exact_and_float_sweeps_write_the_same_rows(capsys):
     code, exact, _ = run_cli(capsys, "exact", "--sweep", "9")
     assert code == 0
-    code, floats, _ = run_cli(capsys, "exact", "--float", "--sweep", "9", "--exact-capacity-n", "8")
+    code, floats, _ = run_cli(capsys, "exact", "--float", "--sweep", "9")
     assert code == 0
     exact, floats = exact.splitlines()[:-1], floats.splitlines()[:-1]  # the verdict lines differ by design
     assert exact[0] == floats[0] == "N,K,gaps,expected_time,bound,pass"
@@ -82,9 +82,23 @@ def test_exact_sweep_twelve_hits_bound_exactly(capsys):
 
 
 def test_exact_capacity_without_float_flag(capsys):
-    code, _, err = run_cli(capsys, "exact", "--config", "N=17;gaps=5,5,7")
+    code, _, err = run_cli(capsys, "exact", "--sweep", "15")
     assert code == 2
     assert "capacity" in err
+
+
+# the float sweep's bytes at N = 9, recorded when --float needed a capacity below N to take the float path
+FLOAT_SWEEP_9_SHA256 = "2d4c241503aa493246d677ca5301d7cbc23d9d9b02df9d2ffa337f614ed9863b"
+
+
+def test_float_flag_picks_the_float_sweep_at_any_ring_size(capsys):
+    code, out, _ = run_cli(capsys, "exact", "--float", "--sweep", "9")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FLOAT_SWEEP_9_SHA256
+    code, out, _ = run_cli(capsys, "exact", "--float", "--sweep", "7", "--exact-capacity-n", "7")
+    assert code == 0
+    verdict = json.loads(out.splitlines()[-1])
+    assert "max" in verdict and "max_num" not in verdict
 
 
 def test_exact_capacity_error_names_the_refused_state_count(capsys):
@@ -94,20 +108,28 @@ def test_exact_capacity_error_names_the_refused_state_count(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("config, states", [("N=64;gaps=21,21,22", 652), ("N=17;gaps=5,5,7", 41)])
-def test_exact_config_capacity_error_names_the_states_the_query_solves(config, states, capsys):
-    # a single query solves the states with at most its token count, not the whole sweep's
-    code, out, err = run_cli(capsys, "exact", "--config", config)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: ring size {config[2:4]} exceeds the configured capacity 14 ({states} states); ")
+@pytest.mark.parametrize(
+    "config, value",
+    [
+        ("N=15;gaps=5,5,5", "100/3"),  # 4*5*5*5/15
+        ("N=17;gaps=5,5,7", "700/17"),  # 4*5*5*7/17
+        ("N=64;gaps=21,21,22", "4851/8"),  # the paper's worst case on the largest ring, a 341-row block
+    ],
+)
+def test_exact_query_past_the_sweep_capacity_needs_no_flag(config, value, capsys):
+    # a single query answers to the block limit alone, whatever its ring size
+    code, out, _ = run_cli(capsys, "exact", "--config", config)
+    assert code == 0
+    assert out == f"{value}\n"
 
 
 def test_exact_capacity_override_flag(capsys):
-    code, out, _ = run_cli(
-        capsys, "exact", "--config", "N=17;gaps=5,5,7", "--exact-capacity-n", "17"
-    )
+    code, _, err = run_cli(capsys, "exact", "--sweep", "9", "--exact-capacity-n", "8")
+    assert code == 2
+    assert err.startswith("error: ring size 9 exceeds the configured capacity 8 (")
+    code, out, _ = run_cli(capsys, "exact", "--sweep", "9", "--exact-capacity-n", "9")
     assert code == 0
-    assert out.strip() == "700/17"  # 4*5*5*7/17
+    assert json.loads(out.splitlines()[-1])["verdict"] == "PASS"
 
 
 def test_exact_float_fallback(capsys):
@@ -365,7 +387,7 @@ def test_simulate_rejects_ring_beyond_occupancy_word(capsys):
 
 
 def test_exact_rejects_raised_capacity_beyond_occupancy_word(capsys):
-    code, out, err = run_cli(capsys, "exact", "--config", "N=65;gaps=21,21,23", "--exact-capacity-n", "65")
+    code, out, err = run_cli(capsys, "exact", "--sweep", "65", "--exact-capacity-n", "65")
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "occupancy word" in err
@@ -438,7 +460,7 @@ def test_simulate_runs_beyond_memory_is_exit_two(capsys, monkeypatch):
     [
         ["exact", "--sweep", "7"],
         ["exact", "--config", "N=9;gaps=3,3,3"],
-        ["exact", "--float", "--sweep", "9", "--exact-capacity-n", "8"],
+        ["exact", "--float", "--sweep", "9"],
     ],
     ids=("sweep", "config", "float-sweep"),
 )
@@ -589,11 +611,15 @@ def _cli_process(argv, stdout):
 def test_reader_closing_the_pipe_after_one_line_ends_quietly():
     # about 190 kB of output, more than a pipe holds: the sweep is still writing when the pipe closes
     proc = _cli_process(["exact", "--sweep", "15", "--exact-capacity-n", "15"], subprocess.PIPE)
-    assert proc.stdout.readline() == b"N,K,gaps,expected_time,bound,pass\n"
-    proc.stdout.close()
-    with proc.stderr:
-        err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 1
+    try:
+        assert proc.stdout.readline() == b"N,K,gaps,expected_time,bound,pass\n"
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    finally:  # a failed assert leaves no child of this process behind
+        proc.kill()
+        proc.wait()
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 

@@ -6,7 +6,10 @@ successor enumeration moved to the occupancy kernel, N = 13, 14 before
 the exact solve moved to integer blocks with p-adic lifting.  Any change
 to a state, a rational, the row order or the verdict line changes a
 digest.  The float sweep's digest was recorded with one BLAS thread,
-since its last digits depend on the BLAS thread count.
+since its last digits depend on the BLAS thread count, and with
+`--exact-capacity-n 11`, which a float sweep then needed to take the
+float path at N = 12; `--float` now picks the float sweep at any N, so
+the flag left its argv and the bytes stayed.
 
 golden/cli_corpus_sha256.json holds the stdout sha256 of a fixed set of
 commands that cover the drift, moment, identity, KKT and coupling
@@ -15,13 +18,13 @@ its histogram file; `simulate` writes the histogram to a temporary path,
 so the path is not part of the recorded argv.  They were recorded before
 every alternating index chain moved onto `lyapunov.alternating_tuples`.
 Two sweeps joined them before the hitting-time solve moved onto one CSR
-successor table: `exact --float --sweep 14 --exact-capacity-n 13`, whose
-last digits pin the order in which each row's exit terms are summed, and
+successor table: `exact --float --sweep 14`, whose last digits pin the
+order in which each row's exit terms are summed, and
 `exact --sweep 15 --exact-capacity-n 15`, a sweep past the default
 capacity.  Two more were recorded before the exact solve moved onto
 reflection classes: `exact --sweep 16 --exact-capacity-n 16`, and
-`exact --config "N=15;gaps=1,2,3,4,5" --exact-capacity-n 15`, whose seed
-is not its own mirror image, so it is solved over its reachable states.
+`exact --config "N=15;gaps=1,2,3,4,5"`, whose seed is not its own mirror
+image, so it is solved over its reachable states.
 `exact --sweep 17 --exact-capacity-n 17` was recorded before the block
 solve moved from mod-p lifting onto a float64 inverse with exact integer
 residuals, so the largest blocks the suite solves keep their bytes
@@ -39,13 +42,17 @@ start points and its verdict there in about 1.5 s; and `verify identities
 all --max-k 9` reaches, in under a second.  Two single queries were
 recorded before a query came to solve every state with at most its token
 count in place of a search for the states its seed reaches: `exact
---config "N=64;gaps=21,21,22" --exact-capacity-n 64`, the paper's worst
-case of three equally spaced tokens on the largest ring the occupancy
-word holds; and `exact --float --config "N=16;gaps=1,2,3,4,6"`, whose
+--config "N=64;gaps=21,21,22"`, the paper's worst case of three equally
+spaced tokens on the largest ring the occupancy word holds; and `exact --float --config "N=16;gaps=1,2,3,4,6"`, whose
 float bits pinned the row order of the query's state list for five
 tokens.  That float query left the corpus when `--float` came to apply
 to sweeps only, a single query being solved exactly; the float sweeps
-still pin the float rows' order.  Each runs in about 0.2 s.  `simulate
+still pin the float rows' order.  Each runs in about 0.2 s.  The float
+sweep at N = 14 and the two exact queries were recorded with an
+`--exact-capacity-n`, 13 to reach the float path and N to admit a
+query past the default capacity of 14; their argv dropped it when a
+query came to answer to the block limit alone, and a `--float` sweep to
+take the float path at any N, and their bytes stayed.  `simulate
 --config "N=63;gaps=21,21,21" --runs 70000 --seed 42` was recorded
 before the simulator came to step each batch in blocks of steps, with
 its coins drawn straight from the stream keys and one absorption check
@@ -113,7 +120,7 @@ def _run_cli(argv: list[str]) -> bytes:
 
 
 def test_float_sweep_stdout_is_golden():
-    stdout = _run_cli(["exact", "--float", "--sweep", "12", "--exact-capacity-n", "11"])
+    stdout = _run_cli(["exact", "--float", "--sweep", "12"])
     assert hashlib.sha256(stdout).hexdigest() == FLOAT_SWEEP_12_SHA256
 
 

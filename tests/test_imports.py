@@ -95,9 +95,10 @@ def test_import_cli_loads_no_numpy():
         pytest.param(2, ("exact", "--float", "--sweep", "30"), id="exact-sweep-block-limit"),
         pytest.param(2, ("exact", "--sweep", "22", "--exact-capacity-n", "22"), id="exact-sweep-22-block-limit"),
         pytest.param(2, ("exact", "--float", "--sweep", "21"), id="float-sweep-21-block-limit"),
-        pytest.param(2, ("exact", "--config", "N=64;gaps=12,13,13,13,13", "--exact-capacity-n", "64"), id="exact-config-block-limit"),
+        pytest.param(2, ("exact", "--config", "N=64;gaps=12,13,13,13,13"), id="exact-config-block-limit"),
         pytest.param(2, ("exact", "--config", "N=99;gaps=33,33,33"), id="exact-ring-size"),
         pytest.param(2, ("exact", "--float", "--config", "N=9;gaps=3,3,3"), id="exact-float-config"),
+        pytest.param(2, ("exact", "--config", "N=9;gaps=3,3,3", "--exact-capacity-n", "9"), id="exact-capacity-config"),
         pytest.param(2, ("optimize", "--target", "f", "--k", "65"), id="optimize-k-cap"),
         pytest.param(2, ("verify", "identities", "--max-k", "65"), id="verify-max-k-cap"),
         pytest.param(2, ("verify", "drift", "--n", "65"), id="verify-ring-size"),

@@ -35,9 +35,29 @@ def force_split(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
 
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def spy_forks(monkeypatch):
+    """The pids of the children `run_steps` forks from now on, recorded in the parent."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(mc.os, "fork", spy)
+    return pids
+
+
+def assert_reaped(pids):
+    """Some child was recorded, and each has been reaped, so none is running or a zombie; then forgets them.
+
+    Only the recorded pids are waited on, so a child of this process that
+    another test left behind is neither blamed nor reaped here."""
+    assert pids
+    while pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pids.pop(), os.WNOHANG)
 
 
 def test_single_token_takes_zero_steps():
@@ -166,13 +186,14 @@ def test_step_cap_breach_is_an_error(cap, split, monkeypatch):
 
 def test_no_worker_outlives_run_steps(monkeypatch):
     force_split(monkeypatch)
+    pids = spy_forks(monkeypatch)
     config = state(9, (3, 3, 3))
     run_steps(config, 100, 1)
-    assert_no_children()
+    assert_reaped(pids)
     with monkeypatch.context() as capped, pytest.raises(StepLimitError):
         cap_steps(capped, 42)
         run_steps(config, 100, 1)
-    assert_no_children()
+    assert_reaped(pids)
     # interrupted while this process steps its own range, before any child is read
     parent, run_batch = os.getpid(), mc._run_batch
 
@@ -184,7 +205,7 @@ def test_no_worker_outlives_run_steps(monkeypatch):
     monkeypatch.setattr(mc, "_run_batch", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run_steps(config, 100, 1)
-    assert_no_children()
+    assert_reaped(pids)
 
 
 @pytest.mark.parametrize("died", (True, False), ids=("died", "raised"))
@@ -193,6 +214,7 @@ def test_a_failed_worker_fails_run_steps(died, monkeypatch):
     # raises its own exception here, as `cli` needs of a MemoryError; both children
     # fail, and the lower range, runs 33-65, is the one reported
     force_split(monkeypatch)
+    pids = spy_forks(monkeypatch)
     parent, run_batch = os.getpid(), mc._run_batch
 
     def failing(*args):
@@ -209,7 +231,7 @@ def test_a_failed_worker_fails_run_steps(died, monkeypatch):
             run_steps(state(9, (3, 3, 3)), 100, 1)
     finally:
         signal.alarm(0)
-    assert_no_children()
+    assert_reaped(pids)
 
 
 def test_split_needs_the_work_bound_to_pay_for_a_fork(monkeypatch):

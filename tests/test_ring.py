@@ -512,6 +512,8 @@ BLOCK_REFUSALS = [
     (lambda: markov.expected_time_exact(GapVector(64, (12, 13, 13, 13, 13))), block(64, 59799, 5)),
 ]
 
+# a query answers to the block limit alone, so it refuses the exact sweep's ring-size cap at any value, 0 or N included
+QUERY_CAPACITY = "--exact-capacity-n applies to --sweep only; a single query is bounded by the block limit"
 CLI_REFUSALS = [
     (("simulate", "--config", "N=8;gaps=4,4"), odd_k(1, 2)),
     (("simulate", "--config", "N=65;gaps=21,21,23", "--runs", "10"), WORD_65),
@@ -521,7 +523,7 @@ CLI_REFUSALS = [
     (("exact", "--sweep", "65", "--exact-capacity-n", "65"), WORD_65),
     (("exact", "--sweep", "22", "--exact-capacity-n", "22"), block(22, 16159, 11)),
     (("exact", "--float", "--sweep", "21"), block(21, 16796, 11)),
-    (("exact", "--config", "N=64;gaps=12,13,13,13,13", "--exact-capacity-n", "64"), block(64, 59799, 5)),
+    (("exact", "--config", "N=64;gaps=12,13,13,13,13"), block(64, 59799, 5)),
     (("verify", "drift", "--n", "65"), WORD_65),
     (("verify", "coupling", "--n", "65"), WORD_65),
     (("verify", "all", "--n", "65"), WORD_65),
@@ -539,6 +541,8 @@ CLI_REFUSALS = [
     (("exact", "--float", "--sweep", "30"), block(30, 5170604, 15)),
     (("exact", "--config", "N=9;gaps=3,,3,3"), "bad integer list in 'N=9;gaps=3,,3,3'"),
     (("exact", "--float", "--config", "N=9;gaps=3,3,3"), "--float applies to --sweep only; a single query is solved exactly"),
+    (("exact", "--config", "N=9;gaps=3,3,3", "--exact-capacity-n", "0"), QUERY_CAPACITY),
+    (("exact", "--config", "N=64;gaps=21,21,22", "--exact-capacity-n", "64"), QUERY_CAPACITY),
 ]
 
 
